@@ -165,17 +165,20 @@ def _dcor_permutation(
     seed: int,
     flags: tuple[str, ...] = (),
 ) -> CITestResult:
-    a, b = _canonical_sides(a, b)
     n = a.shape[0]
-    ca = _centered_distances(a)
-    cb = _centered_distances(b)
-    dxx = float((ca * ca).mean())
-    dyy = float((cb * cb).mean())
-    if dxx <= 0.0 or dyy <= 0.0:
+    # Centring and dividing by the largest deviation first makes the
+    # statistic free of the inputs' scale: exact for power-of-two scales,
+    # and no distance product under- or overflows at extreme ones.
+    a, b = a - a.mean(), b - b.mean()
+    spread_a, spread_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    if spread_a == 0.0 or spread_b == 0.0:
         return CITestResult(
             0.0, 1.0, method, n, n_permutations, flags + (FLAG_NUMERICAL_DEGENERACY,)
         )
-    scale = math.sqrt(dxx * dyy)
+    a, b = _canonical_sides(a / spread_a, b / spread_b)
+    ca = _centered_distances(a)
+    cb = _centered_distances(b)
+    scale = math.sqrt(float((ca * ca).mean()) * float((cb * cb).mean()))
     observed_cov = float((ca * cb).mean())
     statistic = math.sqrt(max(observed_cov, 0.0) / scale)
     rng = substream(seed, ROLE_PERMUTATION)

@@ -35,6 +35,7 @@ from .dgp import (
     DGPConfig,
     InvalidConfig,
     VariabilityRegime,
+    read_csv_table,
     read_dataset,
     simulate_dataset,
     write_dataset_csv,
@@ -562,42 +563,31 @@ def _cmd_variability(args) -> int:
     return EXIT_OK
 
 
-def _read_params_csv(path: str) -> np.ndarray:
-    """Parameter table with header env,dim_0,...,dim_{d-1}."""
-    import csv as _csv
+def _params_header_error(header: list[str]) -> str | None:
+    d = len(header) - 1
+    if d >= 1 and header == ["env"] + [f"dim_{j}" for j in range(d)]:
+        return None
+    return "expected header env,dim_0,...,dim_{d-1}"
 
+
+def _read_params_csv(path: str) -> np.ndarray:
+    """Parameter table with header env,dim_0,...,dim_{d-1}, one row per
+    environment in any order."""
     try:
-        f = open(path, newline="")
+        index, values, lines = read_csv_table(path, "parameter", _params_header_error, 1)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}")
-    with f:
-        reader = _csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty parameter file", line=1)
-        d = len(header) - 1
-        if d < 1 or header[0].strip() != "env" or [
-            h.strip() for h in header[1:]
-        ] != [f"dim_{j}" for j in range(d)]:
-            raise DataFormatError("expected header env,dim_0,...,dim_{d-1}", line=1)
-        rows: dict[int, list[float]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise DataFormatError(f"expected {d + 1} columns, got {len(row)}", line=line_no)
-            try:
-                env = int(row[0])
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise DataFormatError(f"unparseable row {row!r}", line=line_no)
-            if env in rows:
-                raise DataFormatError(f"duplicate environment index {env}", line=line_no)
-            rows[env] = values
-    if sorted(rows) != list(range(len(rows))):
+    env = index[:, 0]
+    _, first = np.unique(env, return_index=True)
+    repeated = np.setdiff1d(np.arange(env.size), first)
+    if repeated.size:
+        row = repeated[0]
+        raise DataFormatError(f"duplicate environment index {env[row]}", line=int(lines[row]))
+    if env.size and env.max() != env.size - 1:
         raise DataFormatError("environment indices must be 0-based and contiguous")
-    return np.array([rows[e] for e in range(len(rows))])
+    table = np.empty_like(values)
+    table[env] = values
+    return table
 
 
 def _density_from_args(prefix: str, family: str, loc: float, scale: float) -> DensitySpec:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Literal, Sequence, Union
+from typing import Callable, Literal, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,7 +38,8 @@ from ._streams import (
     ROLE_MECH_NOISE,
     ROLE_MECH_PARAMS,
     ROLE_STRUCTURE,
-    sample_laplace,
+    laplace_inverse_cdf,
+    open_uniform,
     substream,
 )
 
@@ -90,27 +91,11 @@ class DeFinettiParams:
 
 
 @dataclass(frozen=True)
-class EnvironmentData:
-    """Samples of one environment, rows = within-environment sample index."""
-
-    samples: NDArray[np.float64]  # shape (n, 2), columns x then y
-
-    @property
-    def x(self) -> NDArray[np.float64]:
-        return self.samples[:, 0]
-
-    @property
-    def y(self) -> NDArray[np.float64]:
-        return self.samples[:, 1]
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
 class MultiEnvDataset:
-    environments: tuple[EnvironmentData, ...]
+    """All observations as one (E, n, 2) array: environment, within-
+    environment sample index, then the x and y columns."""
+
+    samples: NDArray[np.float64]
     truth: CausalStructure
     regime: VariabilityRegime
     params: tuple[DeFinettiParams, ...]
@@ -119,12 +104,15 @@ class MultiEnvDataset:
     collapse_noise: bool = False
 
     def __post_init__(self):
-        if len(self.environments) != len(self.params) or not self.environments:
+        shape = np.shape(self.samples)
+        if len(shape) != 3 or shape[2] != 2:
+            raise InvalidConfig(f"samples must have shape (E, n, 2), got {shape}")
+        if shape[0] < 1 or len(self.params) != shape[0]:
             raise InvalidConfig("environments and params must align and be non-empty")
 
     @property
     def n_environments(self) -> int:
-        return len(self.environments)
+        return self.samples.shape[0]
 
 
 @dataclass(frozen=True)
@@ -192,9 +180,7 @@ def sample_definetti_params(
 def _resolve_structure(config: DGPConfig, seed: int) -> CausalStructure:
     if config.structure != "random":
         return config.structure
-    rng = substream(seed, ROLE_STRUCTURE)
-    choices = (CausalStructure.X_TO_Y, CausalStructure.Y_TO_X, CausalStructure.INDEPENDENT)
-    return choices[int(rng.integers(3))]
+    return tuple(CausalStructure)[int(substream(seed, ROLE_STRUCTURE).integers(3))]
 
 
 def _delta_sides(regime: VariabilityRegime) -> tuple[bool, bool]:
@@ -204,32 +190,21 @@ def _delta_sides(regime: VariabilityRegime) -> tuple[bool, bool]:
     return cause_pinned, mech_pinned
 
 
-def _generate_environment(
-    config: DGPConfig, structure: CausalStructure, p: DeFinettiParams, seed: int, env_index: int
-) -> EnvironmentData:
-    n = config.samples_per_env
-    b = config.noise_scale
-    cause_pinned, mech_pinned = _delta_sides(config.regime)
+def _param_columns(params: Sequence[DeFinettiParams]):
+    """theta, psi_loc, psi_coef and psi_nonlinear as (E, 1) columns."""
+    table = np.array([(p.theta, p.psi_loc, p.psi_coef, p.psi_nonlinear) for p in params])
+    return table[:, 0:1], table[:, 1:2], table[:, 2:3], table[:, 3:4] != 0.0
 
-    if config.collapse_noise and cause_pinned:
-        s_c = np.full(n, p.theta)
-    else:
-        s_c = sample_laplace(substream(seed, ROLE_CAUSE_NOISE, env_index), p.theta, b, size=n)
-    if config.collapse_noise and mech_pinned:
-        s_e = np.full(n, p.psi_loc)
-    else:
-        s_e = sample_laplace(substream(seed, ROLE_MECH_NOISE, env_index), p.psi_loc, b, size=n)
 
-    effect = p.psi_coef * s_c + s_e
-    if p.psi_nonlinear:
-        effect = effect + p.psi_coef * s_c**2
-    if structure is CausalStructure.X_TO_Y:
-        x, y = s_c, effect
-    elif structure is CausalStructure.Y_TO_X:
-        y, x = s_c, effect
-    else:
-        x, y = s_c, s_e
-    return EnvironmentData(np.column_stack([x, y]))
+def _noise_block(seed: int, role: int, loc, scale: float, n: int, collapse: bool):
+    """(E, n) Laplace noise; row e comes from the (seed, role, e) stream.
+
+    With collapse the noise is its location, pinned across samples.
+    """
+    if collapse:
+        return np.broadcast_to(loc, (loc.shape[0], n))
+    u = np.stack([open_uniform(substream(seed, role, e), size=n) for e in range(loc.shape[0])])
+    return laplace_inverse_cdf(u, loc, scale)
 
 
 def simulate_with_params(
@@ -246,11 +221,22 @@ def simulate_with_params(
     config.validate()
     if len(params) != config.n_environments:
         raise InvalidConfig("params length must equal n_environments")
-    envs = tuple(
-        _generate_environment(config, structure, p, seed, e) for e, p in enumerate(params)
-    )
+    n, b = config.samples_per_env, config.noise_scale
+    theta, psi_loc, coef, nonlinear = _param_columns(params)
+    cause_pinned, mech_pinned = _delta_sides(config.regime)
+    s_c = _noise_block(seed, ROLE_CAUSE_NOISE, theta, b, n, config.collapse_noise and cause_pinned)
+    s_e = _noise_block(seed, ROLE_MECH_NOISE, psi_loc, b, n, config.collapse_noise and mech_pinned)
+
+    effect = coef * s_c + s_e
+    effect = np.where(nonlinear, effect + coef * s_c**2, effect)
+    if structure is CausalStructure.X_TO_Y:
+        x, y = s_c, effect
+    elif structure is CausalStructure.Y_TO_X:
+        y, x = s_c, effect
+    else:
+        x, y = s_c, s_e
     return MultiEnvDataset(
-        environments=envs,
+        samples=np.stack([x, y], axis=-1),
         truth=structure,
         regime=config.regime,
         params=tuple(params),
@@ -284,18 +270,15 @@ def joint_log_density(dataset: MultiEnvDataset) -> float:
     b = dataset.noise_scale
     if b <= 0:
         raise DegenerateDensity("noise_scale must be positive for a density")
-    total = 0.0
-    for env, p in zip(dataset.environments, dataset.params):
-        if dataset.truth is CausalStructure.INDEPENDENT:
-            s_c, s_e = env.x, env.y
-        else:
-            s_c, effect = (env.x, env.y) if dataset.truth is CausalStructure.X_TO_Y else (env.y, env.x)
-            s_e = effect - p.psi_coef * s_c
-            if p.psi_nonlinear:
-                s_e = s_e - p.psi_coef * s_c**2
-        total += float(np.sum(_laplace_logpdf(s_c, p.theta, b)))
-        total += float(np.sum(_laplace_logpdf(s_e, p.psi_loc, b)))
-    return total
+    theta, psi_loc, coef, nonlinear = _param_columns(dataset.params)
+    x, y = dataset.samples[..., 0], dataset.samples[..., 1]
+    if dataset.truth is CausalStructure.INDEPENDENT:
+        s_c, s_e = x, y
+    else:
+        s_c, effect = (x, y) if dataset.truth is CausalStructure.X_TO_Y else (y, x)
+        s_e = effect - coef * s_c
+        s_e = np.where(nonlinear, s_e - coef * s_c**2, s_e)
+    return float(np.sum(_laplace_logpdf(s_c, theta, b)) + np.sum(_laplace_logpdf(s_e, psi_loc, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +288,19 @@ _CSV_HEADER = ["env", "sample", "x", "y"]
 
 
 def write_dataset_csv(dataset: MultiEnvDataset, path: str | Path) -> None:
+    """One row per (environment, sample), CRLF line ends, 17 significant digits."""
+    e, n, _ = dataset.samples.shape
+    index = np.indices((e, n)).reshape(2, -1).T
+    table = np.column_stack([index, dataset.samples.reshape(-1, 2)])
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_CSV_HEADER)
-        for e, env in enumerate(dataset.environments):
-            for s in range(env.n_samples):
-                writer.writerow([e, s, f"{env.samples[s, 0]:.17g}", f"{env.samples[s, 1]:.17g}"])
+        np.savetxt(
+            f,
+            table,
+            fmt="%d,%d,%.17g,%.17g",
+            newline="\r\n",
+            header=",".join(_CSV_HEADER),
+            comments="",
+        )
 
 
 def write_truth_json(dataset: MultiEnvDataset, path: str | Path) -> None:
@@ -333,48 +323,101 @@ def write_truth_json(dataset: MultiEnvDataset, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2))
 
 
-def read_environments_csv(path: str | Path) -> tuple[EnvironmentData, ...]:
-    """Parse a dataset CSV into per-environment sample tables.
+def _row_error(row: list[str], width: int, n_index: int) -> str | None:
+    if len(row) != width:
+        return f"expected {width} columns, got {len(row)}"
+    try:
+        index = [int(v) for v in row[:n_index]]
+        values = [float(v) for v in row[n_index:]]
+    except ValueError:
+        return f"unparseable row {row!r}"
+    if not all(0 <= i < 2**63 for i in index) or not all(map(math.isfinite, values)):
+        return f"invalid values in row {row!r}"
+    return None
 
-    Errors name the offending 1-based line so the CLI can report it.
+
+def read_csv_table(
+    path: str | Path,
+    what: str,
+    header_error: Callable[[list[str]], str | None],
+    n_index: int,
+) -> tuple[NDArray[np.int64], NDArray[np.float64], NDArray[np.int64]]:
+    """Parse a CSV table into integer index columns and float value columns.
+
+    ``header_error`` returns the message for a header it rejects (names
+    stripped of spaces), else None; the header also fixes the column
+    count. Blank lines are skipped. Every row needs that many columns,
+    leading integers that are not negative and finite values. Returns
+    (index (N, n_index), values (N, width - n_index), 1-based line of
+    each row). Errors name the offending line.
     """
-    rows: dict[int, list[tuple[int, float, float]]] = {}
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty dataset file", line=1)
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise DataFormatError(f"expected header {','.join(_CSV_HEADER)}", line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataFormatError(f"expected 4 columns, got {len(row)}", line=line_no)
-            try:
-                e, s = int(row[0]), int(row[1])
-                x, y = float(row[2]), float(row[3])
-            except ValueError:
-                raise DataFormatError(f"unparseable row {row!r}", line=line_no)
-            if e < 0 or s < 0 or not (math.isfinite(x) and math.isfinite(y)):
-                raise DataFormatError(f"invalid values in row {row!r}", line=line_no)
-            rows.setdefault(e, []).append((s, x, y))
-    if not rows:
+        records = list(csv.reader(f))
+    if not records:
+        raise DataFormatError(f"empty {what} file", line=1)
+    message = header_error([h.strip() for h in records[0]])
+    if message is not None:
+        raise DataFormatError(message, line=1)
+    width = len(records[0])
+    lines = [i for i, row in enumerate(records[1:], start=2) if row]
+    rows = [records[i - 1] for i in lines]
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError
+        columns = list(zip(*rows)) or [()] * width
+        index = np.array([list(map(int, c)) for c in columns[:n_index]], dtype=np.int64)
+        values = np.array([list(map(float, c)) for c in columns[n_index:]], dtype=np.float64)
+        if np.any(index < 0) or not np.all(np.isfinite(values)):
+            raise ValueError
+    except (ValueError, OverflowError):
+        # Column-wise conversion is about twice as fast as parsing row by
+        # row; the rows are walked only to name the first offending line.
+        for line, row in zip(lines, rows):
+            message = _row_error(row, width, n_index)
+            if message is not None:
+                raise DataFormatError(message, line=line)
+        raise
+    return index.T, values.T, np.array(lines, dtype=np.int64)
+
+
+def _dataset_header_error(header: list[str]) -> str | None:
+    return None if header == _CSV_HEADER else f"expected header {','.join(_CSV_HEADER)}"
+
+
+def read_environments_csv(path: str | Path) -> NDArray[np.float64]:
+    """Parse a dataset CSV into its (E, n, 2) sample array.
+
+    The (env, sample) indices must fill a rectangle: environments 0..E-1,
+    each with samples 0..n-1, in any row order. Errors name the offending
+    1-based line where there is one, so the CLI can report it.
+    """
+    index, values, _ = read_csv_table(path, "dataset", _dataset_header_error, 2)
+    if index.shape[0] == 0:
         raise DataFormatError("dataset contains no rows", line=2)
-    if sorted(rows) != list(range(len(rows))):
+    env, sample = index[:, 0], index[:, 1]
+    envs, counts = np.unique(env, return_counts=True)
+    if envs[-1] != envs.size - 1:
         raise DataFormatError("environment indices must be 0-based and contiguous")
-    envs = []
-    for e in range(len(rows)):
-        samples = sorted(rows[e])
-        if [s for s, _, _ in samples] != list(range(len(samples))):
-            raise DataFormatError(f"sample indices in environment {e} must be 0-based and contiguous")
-        envs.append(EnvironmentData(np.array([[x, y] for _, x, y in samples])))
-    return tuple(envs)
+    order = np.lexsort((sample, env))
+    starts = np.cumsum(counts) - counts
+    gapped = sample[order] != np.arange(order.size) - starts[env[order]]
+    if np.any(gapped):
+        e = int(env[order][gapped][0])
+        raise DataFormatError(f"sample indices in environment {e} must be 0-based and contiguous")
+    uneven = np.flatnonzero(counts != counts[0])
+    if uneven.size:
+        e = int(uneven[0])
+        raise DataFormatError(
+            f"environments must have equal sample counts: environment 0 has {counts[0]}, "
+            f"environment {e} has {counts[e]}"
+        )
+    samples = np.empty((counts.size, int(counts[0]), 2))
+    samples[env, sample] = values
+    return samples
 
 
 def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDataset:
-    envs = read_environments_csv(csv_path)
+    samples = read_environments_csv(csv_path)
     try:
         payload = json.loads(Path(truth_path).read_text())
     except json.JSONDecodeError as exc:
@@ -389,8 +432,8 @@ def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDatase
             )
             for p in payload["params"]
         )
-        dataset = MultiEnvDataset(
-            environments=envs,
+        return MultiEnvDataset(
+            samples=samples,
             truth=CausalStructure(payload["structure"]),
             regime=VariabilityRegime(payload["regime"]),
             params=params,
@@ -400,6 +443,3 @@ def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDatase
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"truth sidecar malformed: {exc}")
-    if len(params) != len(envs):
-        raise DataFormatError("truth sidecar params do not match environment count")
-    return dataset

@@ -1,8 +1,7 @@
 """Bivariate structure identification from multi-environment data.
 
-The procedure takes two samples per environment, stacks them into one row
-(x1, y1, x2, y2) per environment, and runs three independence tests across
-environments:
+The procedure takes the first two samples (x1, y1), (x2, y2) of every
+environment and runs three independence tests across environments:
 
     x_to_y      y1 independent of x2 given x1
     y_to_x      x1 independent of y2 given y1
@@ -62,33 +61,6 @@ class InsufficientEnvironments(ValueError):
 
 
 @dataclass(frozen=True)
-class PairedTable:
-    """One row per environment: first sample's (x, y) then second sample's."""
-
-    rows: NDArray[np.float64]  # shape (E, 4)
-
-    @property
-    def x1(self) -> NDArray[np.float64]:
-        return self.rows[:, 0]
-
-    @property
-    def y1(self) -> NDArray[np.float64]:
-        return self.rows[:, 1]
-
-    @property
-    def x2(self) -> NDArray[np.float64]:
-        return self.rows[:, 2]
-
-    @property
-    def y2(self) -> NDArray[np.float64]:
-        return self.rows[:, 3]
-
-    @property
-    def n_environments(self) -> int:
-        return self.rows.shape[0]
-
-
-@dataclass(frozen=True)
 class DiscoveryDecision:
     structure: CausalStructure
     p_x_to_y: float
@@ -104,21 +76,20 @@ class DiscoveryDecision:
             "p_y_to_x": self.p_y_to_x,
             "p_independent": self.p_independent,
             "alpha": self.alpha,
+            "flags": list(self.flags),
         }
 
 
-def build_cross_sample_pairs(dataset: MultiEnvDataset) -> PairedTable:
-    """Stack the first two samples of every environment into one table.
+def build_cross_sample_pairs(dataset: MultiEnvDataset) -> NDArray[np.float64]:
+    """The first two samples of every environment, a (E, 2, 2) view
+    indexed [environment, sample, (x, y)].
 
     Extra samples beyond the first two are ignored.
     """
-    for e, env in enumerate(dataset.environments):
-        if env.n_samples < 2:
-            raise InsufficientSamples(
-                f"environment {e} has {env.n_samples} sample(s); need at least 2"
-            )
-    first_two = np.stack([env.samples[:2] for env in dataset.environments])
-    return PairedTable(first_two.reshape(dataset.n_environments, 4))
+    n = dataset.samples.shape[1]
+    if n < 2:
+        raise InsufficientSamples(f"environments have {n} sample(s); need at least 2")
+    return dataset.samples[:, :2]
 
 
 def _decide(
@@ -147,11 +118,11 @@ def discover_structure(
         raise ValueError("alpha must lie strictly between 0 and 1")
     pairs = build_cross_sample_pairs(dataset)
     if test_method is TestMethod.GCM:
-        # Row e holds environment e's sample in both orders: (1, 2), (2, 1).
-        x1, y1 = pairs.rows[:, 0::2], pairs.rows[:, 1::2]
+        # Row e holds environment e's samples in both orders: (1, 2), (2, 1).
+        x1, y1 = pairs[..., 0], pairs[..., 1]
         x2, y2 = x1[:, ::-1], y1[:, ::-1]
     else:
-        x1, y1, x2, y2 = pairs.x1, pairs.y1, pairs.x2, pairs.y2
+        (x1, y1), (x2, y2) = pairs[:, 0].T, pairs[:, 1].T
     res_independent = marginal_independence_test(
         x1,
         y1,
@@ -201,13 +172,6 @@ def discover_structure(
     )
 
 
-_BASELINE_CHOICES = (
-    CausalStructure.X_TO_Y,
-    CausalStructure.Y_TO_X,
-    CausalStructure.INDEPENDENT,
-)
-
-
 def random_baseline(rng: np.random.Generator) -> CausalStructure:
     """Uniform draw over the three structures; the chance-level reference."""
-    return _BASELINE_CHOICES[int(rng.integers(3))]
+    return tuple(CausalStructure)[int(rng.integers(3))]

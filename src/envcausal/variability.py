@@ -106,10 +106,11 @@ class DiscrepancyQuery:
             raise ValueError("derivative_step and zero_tolerance must be positive")
 
 
-def _as_table(thetas, expected_ndim: int) -> NDArray[np.float64]:
+def _as_table(thetas, ndims: tuple[int, ...] = (2,)) -> NDArray[np.float64]:
     arr = np.asarray(thetas, dtype=np.float64)
-    if arr.ndim != expected_ndim:
-        raise ShapeMismatch(f"expected a {expected_ndim}-dimensional table, got shape {arr.shape}")
+    if arr.ndim not in ndims:
+        expected = " or ".join(str(d) for d in ndims)
+        raise ShapeMismatch(f"expected a {expected}-dimensional table, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ShapeMismatch("need at least two environments")
     if not np.all(np.isfinite(arr)):
@@ -120,24 +121,15 @@ def _as_table(thetas, expected_ndim: int) -> NDArray[np.float64]:
 def build_modulation_matrix(thetas, baseline_index: int = 0) -> ModulationMatrix:
     """Difference each environment's parameter vector against the baseline's.
 
-    Row order follows environment order with the baseline row removed.
+    ``thetas`` is an (E, D) table, or an (E, d, k) table with k statistics
+    per source whose d x k blocks are flattened row-major. Row order
+    follows environment order with the baseline row removed.
     """
-    table = _as_table(thetas, 2)
-    e, d = table.shape
+    table = _as_table(thetas, (2, 3))
+    e = table.shape[0]
     if not 0 <= baseline_index < e:
         raise ShapeMismatch(f"baseline_index {baseline_index} out of range for {e} environments")
-    keep = [j for j in range(e) if j != baseline_index]
-    entries = table[keep] - table[baseline_index]
-    return ModulationMatrix(entries=entries, baseline_index=baseline_index, d_sources=d, k_order=1)
-
-
-def build_gcl_modulation_matrix(thetas, baseline_index: int = 0) -> ModulationMatrix:
-    """Same construction for parameters with k statistics per source; each
-    d x k block is flattened row-major before differencing."""
-    table = _as_table(thetas, 3)
-    e, d, k = table.shape
-    if not 0 <= baseline_index < e:
-        raise ShapeMismatch(f"baseline_index {baseline_index} out of range for {e} environments")
+    d, k = table.shape[1], table.shape[2] if table.ndim == 3 else 1
     flat = table.reshape(e, d * k)
     keep = [j for j in range(e) if j != baseline_index]
     entries = flat[keep] - flat[baseline_index]
@@ -184,7 +176,7 @@ def check_sufficient_variability(
 def detect_delta_prior(param_samples, tolerance: float = 1e-10) -> NDArray[np.bool_]:
     """Flag each parameter dimension whose draws never move away from the
     first environment's value by more than the tolerance."""
-    table = _as_table(param_samples, 2)
+    table = _as_table(param_samples)
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
     return np.max(np.abs(table - table[0]), axis=0) <= tolerance

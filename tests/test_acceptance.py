@@ -17,7 +17,6 @@ from envcausal.cli import BenchConfig, run_benchmark
 from envcausal.dgp import (
     CausalStructure,
     DGPConfig,
-    EnvironmentData,
     MultiEnvDataset,
     VariabilityRegime,
     joint_log_density,
@@ -240,10 +239,7 @@ def test_9_invariance_bundle():
     value = joint_log_density(dataset)
     rng = np.random.default_rng(900)
     shuffled = MultiEnvDataset(
-        environments=tuple(
-            EnvironmentData(env.samples[rng.permutation(env.n_samples)])
-            for env in dataset.environments
-        ),
+        samples=np.stack([env[rng.permutation(len(env))] for env in dataset.samples]),
         truth=dataset.truth,
         regime=dataset.regime,
         params=dataset.params,
@@ -256,9 +252,7 @@ def test_9_invariance_bundle():
         DGPConfig(n_environments=120, regime=FULL, structure=CausalStructure.X_TO_Y), 901
     )
     mirrored = MultiEnvDataset(
-        environments=tuple(
-            EnvironmentData(env.samples[:, ::-1].copy()) for env in directed.environments
-        ),
+        samples=directed.samples[..., ::-1].copy(),
         truth=CausalStructure.Y_TO_X,
         regime=directed.regime,
         params=directed.params,

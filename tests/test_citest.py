@@ -424,6 +424,33 @@ def test_parametric_p_in_unit_interval_and_symmetric(pairs):
         assert res.p_value == mirrored.p_value
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(40, 80),
+    st.integers(-700, 700),
+    st.integers(-700, 700),
+    st.integers(-700, 700),
+)
+@settings(max_examples=30, deadline=None)
+def test_p_values_are_exactly_invariant_to_power_of_two_scales(seed, n, ka, kb, kc):
+    # Scaling by 2^k is exact in floating point, so every test must return
+    # the very same p-value, even where products of the raw inputs would
+    # under- or overflow.
+    rng = np.random.default_rng(seed)
+    x, y, z = rng.standard_normal((3, n))
+    sx, sy, sz = np.ldexp(x, ka), np.ldexp(y, kb), np.ldexp(z, kc)
+    for method in ALL_METHODS:
+        kw = {"n_permutations": 99, "seed": seed}
+        assert (
+            marginal_independence_test(sx, sy, method, **kw).p_value
+            == marginal_independence_test(x, y, method, **kw).p_value
+        ), method
+        assert (
+            conditional_independence_test(sx, sy, sz, method, **kw).p_value
+            == conditional_independence_test(x, y, z, method, **kw).p_value
+        ), method
+
+
 def test_result_type_rejects_out_of_range_p():
     with pytest.raises(ValueError):
         CITestResult(0.0, 1.5, TestMethod.FISHER_Z, 10)

@@ -39,7 +39,14 @@ def test_simulate_then_discover_round_trip(tmp_path, dgp_config_path):
     )
     assert code == 0
     decision = json.loads(decision_path.read_text())
-    assert set(decision) == {"structure", "p_x_to_y", "p_y_to_x", "p_independent", "alpha"}
+    assert set(decision) == {
+        "structure",
+        "p_x_to_y",
+        "p_y_to_x",
+        "p_independent",
+        "alpha",
+        "flags",
+    }
     assert decision["structure"] in {"x_to_y", "y_to_x", "independent"}
     assert decision["alpha"] == 0.05
 
@@ -57,8 +64,7 @@ def test_simulated_csv_reloads_bit_exactly(tmp_path, dgp_config_path):
         8,
     )
     assert reloaded.truth is direct.truth
-    for a, b in zip(reloaded.environments, direct.environments):
-        np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(reloaded.samples, direct.samples)
 
 
 def test_discover_writes_to_stdout_without_out(tmp_path, dgp_config_path, capsys):
@@ -79,6 +85,35 @@ def test_malformed_csv_names_the_line(tmp_path, dgp_config_path, capsys):
     code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_discover_rejects_unequal_sample_counts(tmp_path, dgp_config_path, capsys):
+    data = tmp_path / "data.csv"
+    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
+    lines = data.read_text().splitlines()
+    del lines[4]  # environment 1 keeps one of its two samples
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    assert code == 2
+    assert "equal sample counts" in capsys.readouterr().err
+
+
+def test_discover_reports_degeneracy_flags(tmp_path, capsys):
+    config = _write_json(
+        tmp_path / "dgp.json",
+        {
+            "n_environments": 40,
+            "regime": "iid",
+            "structure": "x_to_y",
+            "collapse_noise": True,
+        },
+    )
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--config", config, "--seed", "3", "--out", str(data)]) == 0
+    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "independent:zero_variance" in payload["flags"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +268,14 @@ def test_variability_rejects_bad_header(tmp_path, capsys):
     params.write_text("environment,a,b\n0,0.0,0.0\n1,1.0,0.0\n")
     assert main(["variability", "--params", str(params)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_variability_names_the_line_of_a_duplicate_environment(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("env,dim_0\n1,0.5\n0,0.25\n1,0.75\n")
+    assert main(["variability", "--params", str(params)]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate environment index 1" in err and "line 4" in err
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from envcausal.dgp import (
     DeFinettiParams,
     DegenerateDensity,
     DGPConfig,
-    EnvironmentData,
     InvalidConfig,
     MultiEnvDataset,
     VariabilityRegime,
@@ -141,9 +140,8 @@ def test_simulate_shapes_and_determinism():
     a = simulate_dataset(config, 7)
     b = simulate_dataset(config, 7)
     assert a.n_environments == 500
-    assert all(env.samples.shape == (2, 2) for env in a.environments)
-    for ea, eb in zip(a.environments, b.environments):
-        np.testing.assert_array_equal(ea.samples, eb.samples)
+    assert a.samples.shape == (500, 2, 2)
+    np.testing.assert_array_equal(a.samples, b.samples)
     assert a.params == b.params and a.truth is b.truth
 
 
@@ -156,8 +154,7 @@ def test_random_structure_draw_is_seed_stable_and_covers_all_tags():
 
 def test_independent_structure_decorrelates_the_pair():
     dataset = simulate_dataset(_config(FULL, CausalStructure.INDEPENDENT, e=10_000), 21)
-    x = np.concatenate([env.x for env in dataset.environments])
-    y = np.concatenate([env.y for env in dataset.environments])
+    x, y = dataset.samples[..., 0].ravel(), dataset.samples[..., 1].ravel()
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.03
 
 
@@ -167,7 +164,7 @@ def test_pinned_linear_mechanism_residual_is_laplace():
     config = _config(IID, CausalStructure.X_TO_Y, e=1, n=20_000)
     params = [DeFinettiParams(theta=0.3, psi_loc=-0.4, psi_coef=1.0, psi_nonlinear=False)]
     dataset = simulate_with_params(config, CausalStructure.X_TO_Y, params, seed=13)
-    residual = dataset.environments[0].y - dataset.environments[0].x
+    residual = dataset.samples[0, :, 1] - dataset.samples[0, :, 0]
     stat = scipy.stats.kstest(residual, scipy.stats.laplace(loc=-0.4, scale=1.0).cdf).statistic
     assert stat < 0.02
 
@@ -178,14 +175,14 @@ def test_mirrored_structure_with_nonlinear_term():
     config = _config(IID, CausalStructure.Y_TO_X, e=1, n=20_000)
     p = DeFinettiParams(theta=0.6, psi_loc=0.2, psi_coef=1.5, psi_nonlinear=True)
     dataset = simulate_with_params(config, CausalStructure.Y_TO_X, [p], seed=17)
-    env = dataset.environments[0]
-    residual = env.x - 1.5 * env.y - 1.5 * env.y**2
+    x, y = dataset.samples[0].T
+    residual = x - 1.5 * y - 1.5 * y**2
     stat = scipy.stats.kstest(
         residual, scipy.stats.laplace(loc=0.2, scale=1.0).cdf
     ).statistic
     assert stat < 0.02
     cause_stat = scipy.stats.kstest(
-        env.y, scipy.stats.laplace(loc=0.6, scale=1.0).cdf
+        y, scipy.stats.laplace(loc=0.6, scale=1.0).cdf
     ).statistic
     assert cause_stat < 0.02
 
@@ -195,19 +192,17 @@ def test_cause_column_ignores_effect_side_configuration():
     # the cause-side streams must leave x untouched.
     independent = simulate_dataset(_config(FULL, CausalStructure.INDEPENDENT, e=50), 31)
     directed = simulate_dataset(_config(FULL, CausalStructure.X_TO_Y, e=50), 31)
-    for env_i, env_d in zip(independent.environments, directed.environments):
-        np.testing.assert_array_equal(env_i.x, env_d.x)
+    np.testing.assert_array_equal(independent.samples[..., 0], directed.samples[..., 0])
     assert any(
-        not np.array_equal(ei.y, ed.y)
-        for ei, ed in zip(independent.environments, directed.environments)
+        not np.array_equal(yi, yd)
+        for yi, yd in zip(independent.samples[..., 1], directed.samples[..., 1])
     )
 
 
 def test_sample_count_extension_preserves_prefix():
     small = simulate_dataset(_config(IID, CausalStructure.X_TO_Y, e=5, n=2), 41)
     large = simulate_dataset(_config(IID, CausalStructure.X_TO_Y, e=5, n=7), 41)
-    for es, el in zip(small.environments, large.environments):
-        np.testing.assert_array_equal(es.samples, el.samples[:2])
+    np.testing.assert_array_equal(small.samples, large.samples[:, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +215,17 @@ def test_collapse_noise_is_noop_without_delta_sides():
         _config(FULL, CausalStructure.X_TO_Y, e=30, collapse_noise=True), 19
     )
     plain = simulate_dataset(config, 19)
-    for ec, ep in zip(collapsed.environments, plain.environments):
-        np.testing.assert_array_equal(ec.samples, ep.samples)
+    np.testing.assert_array_equal(collapsed.samples, plain.samples)
 
 
 def test_collapse_noise_makes_mechanism_deterministic_under_cause_variability():
     dataset = simulate_dataset(
         _config(CAUSE, CausalStructure.X_TO_Y, e=30, n=4, collapse_noise=True), 23
     )
-    for env, p in zip(dataset.environments, dataset.params):
-        nl = p.psi_coef * env.x**2 if p.psi_nonlinear else 0.0
-        np.testing.assert_array_equal(env.y, p.psi_coef * env.x + p.psi_loc + nl)
-        assert len(set(env.x)) > 1
+    for (x, y), p in zip(dataset.samples.transpose(0, 2, 1), dataset.params):
+        nl = p.psi_coef * x**2 if p.psi_nonlinear else 0.0
+        np.testing.assert_array_equal(y, p.psi_coef * x + p.psi_loc + nl)
+        assert len(set(x)) > 1
 
 
 def test_collapse_noise_under_iid_freezes_both_columns():
@@ -239,9 +233,9 @@ def test_collapse_noise_under_iid_freezes_both_columns():
         _config(IID, CausalStructure.X_TO_Y, e=10, n=3, collapse_noise=True), 29
     )
     p = dataset.params[0]
-    for env in dataset.environments:
-        assert set(env.x) == {p.theta}
-        assert len(set(env.y)) == 1
+    for x, y in dataset.samples.transpose(0, 2, 1):
+        assert set(x) == {p.theta}
+        assert len(set(y)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +245,15 @@ def test_collapse_noise_under_iid_freezes_both_columns():
 def _oracle_log_density(dataset):
     """Independent recomputation through scipy's Laplace logpdf."""
     total = 0.0
-    for env, p in zip(dataset.environments, dataset.params):
+    for (x, y), p in zip(dataset.samples.transpose(0, 2, 1), dataset.params):
         if dataset.truth is CausalStructure.X_TO_Y:
-            nl = p.psi_coef * env.x**2 if p.psi_nonlinear else 0.0
-            cause, effect = env.x, env.y - p.psi_coef * env.x - nl
+            nl = p.psi_coef * x**2 if p.psi_nonlinear else 0.0
+            cause, effect = x, y - p.psi_coef * x - nl
         elif dataset.truth is CausalStructure.Y_TO_X:
-            nl = p.psi_coef * env.y**2 if p.psi_nonlinear else 0.0
-            cause, effect = env.y, env.x - p.psi_coef * env.y - nl
+            nl = p.psi_coef * y**2 if p.psi_nonlinear else 0.0
+            cause, effect = y, x - p.psi_coef * y - nl
         else:
-            cause, effect = env.x, env.y
+            cause, effect = x, y
         total += scipy.stats.laplace(loc=p.theta, scale=dataset.noise_scale).logpdf(cause).sum()
         total += scipy.stats.laplace(loc=p.psi_loc, scale=dataset.noise_scale).logpdf(effect).sum()
     return float(total)
@@ -267,7 +261,7 @@ def _oracle_log_density(dataset):
 
 def test_log_density_closed_form_point():
     dataset = MultiEnvDataset(
-        environments=(EnvironmentData(np.array([[0.0, 0.0]])),),
+        samples=np.zeros((1, 1, 2)),
         truth=CausalStructure.INDEPENDENT,
         regime=IID,
         params=(DeFinettiParams(0.0, 0.0, 0.0, False),),
@@ -289,10 +283,7 @@ def test_log_density_matches_scipy_oracle_and_row_permutation(seed):
 
     rng = np.random.default_rng(seed)
     shuffled = MultiEnvDataset(
-        environments=tuple(
-            EnvironmentData(env.samples[rng.permutation(env.n_samples)])
-            for env in dataset.environments
-        ),
+        samples=np.stack([env[rng.permutation(len(env))] for env in dataset.samples]),
         truth=dataset.truth,
         regime=dataset.regime,
         params=dataset.params,
@@ -307,7 +298,7 @@ def test_log_density_environment_permutation_invariance():
     value = joint_log_density(dataset)
     order = np.random.default_rng(0).permutation(12)
     permuted = MultiEnvDataset(
-        environments=tuple(dataset.environments[i] for i in order),
+        samples=dataset.samples[order],
         truth=dataset.truth,
         regime=dataset.regime,
         params=tuple(dataset.params[i] for i in order),
@@ -339,8 +330,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert loaded.regime is dataset.regime
     assert loaded.seed == dataset.seed
     assert loaded.params == dataset.params
-    for le, de in zip(loaded.environments, dataset.environments):
-        np.testing.assert_array_equal(le.samples, de.samples)
+    np.testing.assert_array_equal(loaded.samples, dataset.samples)
     assert joint_log_density(loaded) == joint_log_density(dataset)
 
 
@@ -373,6 +363,33 @@ def test_reader_rejects_non_finite_values(tmp_path):
     with pytest.raises(DataFormatError) as err:
         read_environments_csv(path)
     assert err.value.line == 2
+
+
+def test_reader_rejects_unequal_sample_counts(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("env,sample,x,y\n0,0,1.0,2.0\n0,1,1.0,2.0\n1,0,1.0,2.0\n")
+    with pytest.raises(DataFormatError, match="equal sample counts"):
+        read_environments_csv(path)
+
+
+def test_reader_places_rows_by_their_indices(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("env,sample,x,y\n1,1,7.0,8.0\n0,0,1.0,2.0\n1,0,5.0,6.0\n\n0,1,3.0,4.0\n")
+    np.testing.assert_array_equal(
+        read_environments_csv(path), [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]]
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (0, 2, 2)])
+def test_dataset_requires_an_environment_by_sample_by_pair_array(shape):
+    with pytest.raises(InvalidConfig):
+        MultiEnvDataset(
+            samples=np.zeros(shape),
+            truth=CausalStructure.INDEPENDENT,
+            regime=IID,
+            params=(DeFinettiParams(0.0, 0.0, 0.0, False),) * 2,
+            seed=0,
+        )
 
 
 def test_truth_sidecar_errors(tmp_path):

@@ -1,5 +1,7 @@
 """Structure decision rule: pairing, alpha-gated selection, symmetries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from envcausal.citest import (
 from envcausal.dgp import (
     CausalStructure,
     DGPConfig,
-    EnvironmentData,
     DeFinettiParams,
     MultiEnvDataset,
     VariabilityRegime,
@@ -42,16 +43,8 @@ def _dataset(regime, structure, e=100, seed=0, **kw):
     )
 
 
-def _with_environments(dataset, environments, truth=None):
-    return MultiEnvDataset(
-        environments=tuple(environments),
-        truth=truth or dataset.truth,
-        regime=dataset.regime,
-        params=dataset.params,
-        seed=dataset.seed,
-        noise_scale=dataset.noise_scale,
-        collapse_noise=dataset.collapse_noise,
-    )
+def _with_samples(dataset, samples, truth=None):
+    return dataclasses.replace(dataset, samples=samples, truth=truth or dataset.truth)
 
 
 # ---------------------------------------------------------------------------
@@ -61,30 +54,23 @@ def _with_environments(dataset, environments, truth=None):
 def test_pairs_use_first_two_samples_in_order():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=3)
     pairs = build_cross_sample_pairs(dataset)
-    assert pairs.rows.shape == (3, 4)
-    for e, env in enumerate(dataset.environments):
-        assert tuple(pairs.rows[e]) == (
-            env.samples[0, 0],
-            env.samples[0, 1],
-            env.samples[1, 0],
-            env.samples[1, 1],
-        )
+    assert pairs.shape == (3, 2, 2)
+    np.testing.assert_array_equal(pairs, dataset.samples[:, :2])
 
 
 def test_pairs_ignore_extra_samples():
     two = _dataset(IID, CausalStructure.X_TO_Y, e=5, seed=9, samples_per_env=2)
     five = _dataset(IID, CausalStructure.X_TO_Y, e=5, seed=9, samples_per_env=5)
     np.testing.assert_array_equal(
-        build_cross_sample_pairs(two).rows, build_cross_sample_pairs(five).rows
+        build_cross_sample_pairs(two), build_cross_sample_pairs(five)
     )
 
 
 def test_pairs_reject_single_sample_environment():
-    dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=4)
-    broken = list(dataset.environments)
-    broken[2] = EnvironmentData(broken[2].samples[:1])
-    with pytest.raises(InsufficientSamples, match="environment 2"):
-        build_cross_sample_pairs(_with_environments(dataset, broken))
+    dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=4, samples_per_env=1)
+    assert dataset.samples.shape == (4, 1, 2)
+    with pytest.raises(InsufficientSamples, match="need at least 2"):
+        build_cross_sample_pairs(dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +135,8 @@ def test_decision_follows_the_alpha_gated_rule(seed):
 
 
 def _gcm_p_values(dataset, linear_only):
-    rows = build_cross_sample_pairs(dataset).rows
-    x1, y1 = rows[:, 0::2], rows[:, 1::2]
+    pairs = build_cross_sample_pairs(dataset)
+    x1, y1 = pairs[..., 0], pairs[..., 1]
     x2, y2 = x1[:, ::-1], y1[:, ::-1]
     marginal = marginal_independence_test(x1, y1, TestMethod.GCM)
     gated = marginal.components[0] > chi2.isf(LINEAR_GATE_LEVEL, 1)
@@ -216,8 +202,16 @@ def test_to_dict_round_trips_the_reported_fields():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=40, seed=6)
     decision = discover_structure(dataset)
     payload = decision.to_dict()
-    assert set(payload) == {"structure", "p_x_to_y", "p_y_to_x", "p_independent", "alpha"}
+    assert set(payload) == {
+        "structure",
+        "p_x_to_y",
+        "p_y_to_x",
+        "p_independent",
+        "alpha",
+        "flags",
+    }
     assert payload["structure"] == decision.structure.value
+    assert payload["flags"] == list(decision.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +221,8 @@ def test_to_dict_round_trips_the_reported_fields():
 @pytest.mark.parametrize("method", [TestMethod.FISHER_Z, TestMethod.SPEARMAN_Z, TestMethod.GCM])
 def test_label_symmetry_swaps_direction_and_p_values(method):
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=120, seed=3)
-    swapped = _with_environments(
-        dataset,
-        (EnvironmentData(env.samples[:, ::-1].copy()) for env in dataset.environments),
-        truth=CausalStructure.Y_TO_X,
+    swapped = _with_samples(
+        dataset, dataset.samples[..., ::-1].copy(), truth=CausalStructure.Y_TO_X
     )
     original = discover_structure(dataset, method)
     mirrored = discover_structure(swapped, method)
@@ -246,10 +238,8 @@ def test_label_symmetry_swaps_direction_and_p_values(method):
 
 def test_label_symmetry_holds_on_the_linear_gcm_path():
     dataset = _dataset(CAUSE, CausalStructure.X_TO_Y, e=120, seed=3)
-    swapped = _with_environments(
-        dataset,
-        (EnvironmentData(env.samples[:, ::-1].copy()) for env in dataset.environments),
-        truth=CausalStructure.Y_TO_X,
+    swapped = _with_samples(
+        dataset, dataset.samples[..., ::-1].copy(), truth=CausalStructure.Y_TO_X
     )
     assert _gcm_p_values(dataset, linear_only=True)[0]
     original = discover_structure(dataset)
@@ -263,7 +253,7 @@ def test_environment_order_does_not_matter():
     dataset = _dataset(FULL, CausalStructure.Y_TO_X, e=80, seed=8)
     order = np.random.default_rng(0).permutation(80)
     permuted = MultiEnvDataset(
-        environments=tuple(dataset.environments[i] for i in order),
+        samples=dataset.samples[order],
         truth=dataset.truth,
         regime=dataset.regime,
         params=tuple(dataset.params[i] for i in order),
@@ -283,10 +273,7 @@ def test_within_environment_sample_swap_preserves_accuracy():
     for s in range(100):
         dataset = _dataset(FULL, "random", e=100, seed=s)
         plain += discover_structure(dataset).structure is dataset.truth
-        swapped = _with_environments(
-            dataset,
-            (EnvironmentData(env.samples[::-1].copy()) for env in dataset.environments),
-        )
+        swapped = _with_samples(dataset, dataset.samples[:, ::-1].copy())
         swapped_hits += discover_structure(swapped).structure is dataset.truth
     assert abs(plain - swapped_hits) / 100 < 0.05
 

@@ -14,7 +14,6 @@ from envcausal.variability import (
     DiscrepancyQuery,
     NonPositiveDensity,
     ShapeMismatch,
-    build_gcl_modulation_matrix,
     build_modulation_matrix,
     check_sufficient_variability,
     default_discrepancy_interval,
@@ -64,16 +63,16 @@ def test_nonzero_baseline_drops_that_row():
 def test_gcl_with_single_statistic_matches_plain_construction():
     table = np.array([[0.1, -0.2], [0.4, 0.3], [-0.5, 0.9]])
     plain = build_modulation_matrix(table)
-    gcl = build_gcl_modulation_matrix(table[:, :, None])
+    gcl = build_modulation_matrix(table[:, :, None])
     np.testing.assert_array_equal(plain.entries, gcl.entries)
-    assert gcl.k_order == 1
+    assert (plain.d_sources, plain.k_order) == (gcl.d_sources, gcl.k_order) == (2, 1)
 
 
 def test_gcl_flattens_blocks_row_major():
     table = np.zeros((3, 1, 2))
     table[1] = [[0.5, 0.25]]
     table[2] = [[0.25, 0.5]]
-    matrix = build_gcl_modulation_matrix(table)
+    matrix = build_modulation_matrix(table)
     np.testing.assert_array_equal(matrix.entries, [[0.5, 0.25], [0.25, 0.5]])
     assert (matrix.d_sources, matrix.k_order, matrix.n_columns) == (1, 2, 2)
     report = check_sufficient_variability(matrix)
