@@ -38,8 +38,9 @@ from ._streams import (
     ROLE_MECH_NOISE,
     ROLE_MECH_PARAMS,
     ROLE_STRUCTURE,
+    counter_uniforms,
     laplace_inverse_cdf,
-    open_uniform,
+    mix64,
     substream,
 )
 
@@ -139,16 +140,6 @@ class DGPConfig:
             raise InvalidConfig("structure must be a CausalStructure or 'random'")
 
 
-def _draw_psi_bundle(config: DGPConfig, structure: CausalStructure, rng) -> tuple[float, float, bool]:
-    lo, hi = config.coef_magnitude_range
-    psi_loc = float(rng.uniform(-1.0, 1.0))
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    magnitude = float(rng.uniform(lo, hi))
-    nonlinear = bool(rng.random() < 0.5)
-    coef = 0.0 if structure is CausalStructure.INDEPENDENT else sign * magnitude
-    return psi_loc, coef, nonlinear
-
-
 def sample_definetti_params(
     config: DGPConfig, structure: CausalStructure, rng: np.random.Generator
 ) -> tuple[DeFinettiParams, ...]:
@@ -166,15 +157,21 @@ def sample_definetti_params(
     cause_varies = regime in (VariabilityRegime.FULL_EXCHANGEABLE, VariabilityRegime.CAUSE_VARIABILITY)
     mech_varies = regime in (VariabilityRegime.FULL_EXCHANGEABLE, VariabilityRegime.MECHANISM_VARIABILITY)
 
-    thetas = [float(cause_rng.uniform(-1.0, 1.0)) for _ in range(e if cause_varies else 1)]
-    psis = [_draw_psi_bundle(config, structure, mech_rng) for _ in range(e if mech_varies else 1)]
+    # numpy's uniform(low, high) is low + (high - low) * random(), so these
+    # blocks repeat per-environment scalar draws (psi: location, sign,
+    # magnitude, nonlinearity) bit for bit.
+    theta = cause_rng.uniform(-1.0, 1.0, size=e if cause_varies else 1)
+    d = mech_rng.random((e if mech_varies else 1, 4))
+    lo, hi = config.coef_magnitude_range
+    psi_loc = -1.0 + 2.0 * d[:, 0]
+    coef = np.where(d[:, 1] < 0.5, 1.0, -1.0) * (lo + (hi - lo) * d[:, 2])
+    if structure is CausalStructure.INDEPENDENT:
+        coef = np.zeros_like(coef)
+    nonlinear = d[:, 3] < 0.5
 
-    out = []
-    for i in range(e):
-        theta = thetas[i if cause_varies else 0]
-        psi_loc, coef, nonlinear = psis[i if mech_varies else 0]
-        out.append(DeFinettiParams(theta, psi_loc, coef, nonlinear))
-    return tuple(out)
+    table = np.empty((e, 4))
+    table[:, 0], table[:, 1], table[:, 2], table[:, 3] = theta, psi_loc, coef, nonlinear
+    return tuple(DeFinettiParams(t, loc, c, bool(nl)) for t, loc, c, nl in table.tolist())
 
 
 def _resolve_structure(config: DGPConfig, seed: int) -> CausalStructure:
@@ -197,14 +194,13 @@ def _param_columns(params: Sequence[DeFinettiParams]):
 
 
 def _noise_block(seed: int, role: int, loc, scale: float, n: int, collapse: bool):
-    """(E, n) Laplace noise; row e comes from the (seed, role, e) stream.
+    """(E, n) Laplace noise; entry (e, j) is a hash of (seed, role, e, j).
 
     With collapse the noise is its location, pinned across samples.
     """
     if collapse:
         return np.broadcast_to(loc, (loc.shape[0], n))
-    u = np.stack([open_uniform(substream(seed, role, e), size=n) for e in range(loc.shape[0])])
-    return laplace_inverse_cdf(u, loc, scale)
+    return laplace_inverse_cdf(counter_uniforms(mix64(seed, role), loc.shape[0], n), loc, scale)
 
 
 def simulate_with_params(
@@ -441,5 +437,6 @@ def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDatase
             noise_scale=float(payload.get("noise_scale", 1.0)),
             collapse_noise=bool(payload.get("collapse_noise", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an infinite seed, or an integer too large for a float.
         raise DataFormatError(f"truth sidecar malformed: {exc}")

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from envcausal.cli import main
 from envcausal.dgp import read_dataset, simulate_dataset, DGPConfig
@@ -114,6 +116,91 @@ def test_discover_reports_degeneracy_flags(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert "independent:zero_variance" in payload["flags"]
+
+
+@pytest.mark.parametrize("seed_text", ["1e400", "Infinity", "-Infinity", "NaN"])
+def test_discover_rejects_a_non_finite_truth_seed(tmp_path, dgp_config_path, capsys, seed_text):
+    data = tmp_path / "data.csv"
+    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
+    truth = tmp_path / "data.truth.json"
+    payload = json.loads(truth.read_text())
+    text = json.dumps(dict(payload, seed="SEED")).replace('"SEED"', seed_text)
+    truth.write_text(text)
+    code = main(["discover", "--data", str(data), "--truth", str(truth)])
+    assert code == 2
+    assert "truth sidecar malformed" in capsys.readouterr().err
+
+
+_EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, 2**64, -0.0])
+_JSON_VALUES = _EDGE_VALUES | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _garble(draw, mapping):
+    """Replace one key of ``mapping`` by any JSON value, or delete it."""
+    key = draw(st.sampled_from(sorted(mapping)))
+    if draw(st.integers(0, 3)):
+        mapping[key] = draw(_JSON_VALUES)
+    else:
+        del mapping[key]
+
+
+@st.composite
+def _dataset_csv(draw):
+    """A rectangular dataset of e environments, one line maybe garbled."""
+    e = draw(st.integers(min_value=19, max_value=24))
+    n = draw(st.integers(min_value=1, max_value=3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite, min_size=2 * e * n, max_size=2 * e * n))
+    rows = ["env,sample,x,y"] + [
+        f"{k // n},{k % n},{values[2 * k]!r},{values[2 * k + 1]!r}" for k in range(e * n)
+    ]
+    if not draw(st.integers(0, 3)):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.text(max_size=20))
+    return "\r\n".join(rows).encode(), e
+
+
+@st.composite
+def _truth_json(draw, n_params):
+    """A valid sidecar for n_params environments, maybe with one field garbled."""
+    params = [
+        {"theta": 0.1, "psi_loc": -0.2, "psi_coef": 1.5, "psi_nonlinear": False}
+        for _ in range(n_params)
+    ]
+    payload = {
+        "structure": draw(st.sampled_from(["x_to_y", "y_to_x", "independent"])),
+        "regime": draw(st.sampled_from(["full_exchangeable", "cause_variability", "iid"])),
+        "seed": draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        "noise_scale": 1.0,
+        "collapse_noise": draw(st.booleans()),
+        "params": params,
+    }
+    where = draw(st.integers(0, 3))
+    if where in (1, 2):
+        _garble(draw, payload)
+    elif where == 3 and params:
+        _garble(draw, params[draw(st.integers(0, n_params - 1))])
+    return json.dumps(payload).encode()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_discover_fuzzed_inputs_exit_with_a_status_code(tmp_path, data):
+    # Whatever the bytes of the dataset and the values in its sidecar,
+    # discover ends with 0, 1 or 2, never with an uncaught exception.
+    if data.draw(st.integers(0, 3)):
+        csv_bytes, e = data.draw(_dataset_csv())
+    else:
+        csv_bytes, e = data.draw(st.binary(max_size=200)), data.draw(st.integers(0, 3))
+    (tmp_path / "data.csv").write_bytes(csv_bytes)
+    (tmp_path / "truth.json").write_bytes(data.draw(_truth_json(e)))
+    args = ["discover", "--data", str(tmp_path / "data.csv"), "--truth", str(tmp_path / "truth.json")]
+    for method in ("gcm", "fisher-z"):
+        code = main(args + ["--test", method, "--out", str(tmp_path / "decision.json")])
+        assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

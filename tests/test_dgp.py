@@ -131,6 +131,38 @@ def test_independent_structure_zeroes_the_coupling():
     assert all(p.psi_coef == 0.0 for p in params)
 
 
+def _reference_params(config, structure, rng):
+    # Scalar draws in the generator's order: per environment one theta,
+    # then location, sign, magnitude and nonlinearity of the psi bundle.
+    cause_rng, mech_rng = rng.spawn(2)
+    e, regime = config.n_environments, config.regime
+    cause_varies = regime in (FULL, CAUSE)
+    mech_varies = regime in (FULL, MECH)
+    lo, hi = config.coef_magnitude_range
+    thetas = [float(cause_rng.uniform(-1.0, 1.0)) for _ in range(e if cause_varies else 1)]
+    psis = []
+    for _ in range(e if mech_varies else 1):
+        psi_loc = float(mech_rng.uniform(-1.0, 1.0))
+        sign = 1.0 if mech_rng.random() < 0.5 else -1.0
+        magnitude = float(mech_rng.uniform(lo, hi))
+        nonlinear = bool(mech_rng.random() < 0.5)
+        coef = 0.0 if structure is CausalStructure.INDEPENDENT else sign * magnitude
+        psis.append((psi_loc, coef, nonlinear))
+    return tuple(
+        DeFinettiParams(thetas[i if cause_varies else 0], *psis[i if mech_varies else 0])
+        for i in range(e)
+    )
+
+
+@pytest.mark.parametrize("regime", list(VariabilityRegime))
+@pytest.mark.parametrize("structure", list(CausalStructure))
+def test_param_blocks_equal_scalar_reference_draws(regime, structure):
+    for seed, e, magnitudes in [(0, 1, (0.5, 2.0)), (1, 7, (0.5, 2.0)), (2, 60, (0.3, 2.7))]:
+        config = _config(regime, structure, e=e, coef_magnitude_range=magnitudes)
+        params = sample_definetti_params(config, structure, substream(seed, 77))
+        assert params == _reference_params(config, structure, substream(seed, 77))
+
+
 # ---------------------------------------------------------------------------
 # Simulation.
 
@@ -203,6 +235,14 @@ def test_sample_count_extension_preserves_prefix():
     small = simulate_dataset(_config(IID, CausalStructure.X_TO_Y, e=5, n=2), 41)
     large = simulate_dataset(_config(IID, CausalStructure.X_TO_Y, e=5, n=7), 41)
     np.testing.assert_array_equal(small.samples, large.samples[:, :2])
+
+
+@pytest.mark.parametrize("regime", list(VariabilityRegime))
+def test_environment_count_extension_preserves_prefix(regime):
+    small = simulate_dataset(_config(regime, CausalStructure.Y_TO_X, e=5, n=3), 43)
+    large = simulate_dataset(_config(regime, CausalStructure.Y_TO_X, e=9, n=3), 43)
+    np.testing.assert_array_equal(small.samples, large.samples[:5])
+    assert small.params == large.params[:5]
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,11 @@ def test_label_symmetry_swaps_direction_and_p_values(method):
 
 
 def test_label_symmetry_holds_on_the_linear_gcm_path():
-    dataset = _dataset(CAUSE, CausalStructure.X_TO_Y, e=120, seed=3)
+    # One shared, same-sign linear coupling: the marginal linear moment
+    # passes the gate whatever the noise stream.
+    config = DGPConfig(n_environments=300, regime=CAUSE, structure=CausalStructure.X_TO_Y)
+    params = [DeFinettiParams(theta, 0.0, 2.0, False) for theta in np.linspace(-1.0, 1.0, 300)]
+    dataset = simulate_with_params(config, CausalStructure.X_TO_Y, params, seed=3)
     swapped = _with_samples(
         dataset, dataset.samples[..., ::-1].copy(), truth=CausalStructure.Y_TO_X
     )
