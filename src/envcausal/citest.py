@@ -16,10 +16,17 @@ degrees of freedom. With ``linear_only`` the conditional form keeps the
 first pair alone, on uniform scores (centred mid-ranks) rather than normal
 scores, and tests it on one degree of freedom: when the dependence keeps
 its sign across units, the squares pair only spends a degree of freedom,
-and bounded scores weigh heavy-tailed samples less. It alone accepts
-``(n, r)`` arrays: n independent units observed r times each. The r
-products of a unit are summed before the variance is taken, so the r
-observations of a unit may be dependent.
+and bounded scores weigh heavy-tailed samples less. With ``squares_only``
+the conditional form keeps the squares pair alone and tests it one-sided,
+against negative dependence: when a unit-level gain couples a cause to
+the conditioner z, a large cause magnitude explains a given z with a
+small gain, and so predicts a small magnitude of whatever else that gain
+drives. The p-value is the normal lower tail of the standardized sum, so
+positive dependence of the squares is not evidence against the null.
+
+The gcm test alone accepts ``(n, r)`` arrays: n independent units
+observed r times each. The r products of a unit are summed before the
+variance is taken, so the r observations of a unit may be dependent.
 
 Constant inputs are reported as independent (p = 1) with a flag instead
 of raising: datasets with collapsed noise legitimately produce constant
@@ -85,8 +92,8 @@ class CITestResult:
     n: int
     n_permutations: int = 0
     flags: tuple[str, ...] = ()
-    # gcm only: the one-degree-of-freedom statistic of each moment pair,
-    # linear then squares, 0 for a pair dropped as degenerate.
+    # gcm only: the one-degree-of-freedom statistic of each moment pair
+    # tested, linear then squares, 0 for a pair dropped as degenerate.
     components: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -247,6 +254,7 @@ def _gcm(
     b: NDArray[np.float64],
     z: NDArray[np.float64] | None,
     linear_only: bool = False,
+    squares_only: bool = False,
 ) -> CITestResult:
     a, b = _canonical_sides(a, b)
     units = a.shape[0]
@@ -256,6 +264,8 @@ def _gcm(
         sa, sb = _normal_scores(a).ravel(), _normal_scores(b).ravel()
         # Columns: a score, b score, a score^2, b score^2; pairs (0, 1), (2, 3).
         features = np.stack([sa, sb, sa * sa, sb * sb], axis=1)
+        if squares_only:
+            features = features[:, 2:]
     centered = features - features.mean(axis=0)
     if z is None:
         residuals = centered
@@ -281,15 +291,22 @@ def _gcm(
     else:
         variance = per_unit.T @ per_unit
     total = per_unit.sum(axis=0)
+    by_pair = dict(zip(pairs, total * total / np.diag(variance)))
+    components = tuple(
+        float(by_pair.get((i, i + 1), 0.0)) for i in range(0, features.shape[1], 2)
+    )
+    if squares_only:
+        # One pair, one-sided: the statistic is the signed standardized sum.
+        if not variance[0, 0] > 0.0:
+            return CITestResult(0.0, 1.0, TestMethod.GCM, units, 0, (FLAG_NUMERICAL_DEGENERACY,))
+        stat = float(total[0]) / math.sqrt(float(variance[0, 0]))
+        p = float(norm.cdf(stat))
+        return CITestResult(stat, min(1.0, p), TestMethod.GCM, units, components=components)
     try:
         stat = float(total @ np.linalg.solve(variance, total))
     except np.linalg.LinAlgError:
         return CITestResult(0.0, 1.0, TestMethod.GCM, units, 0, (FLAG_NUMERICAL_DEGENERACY,))
     p = float(chi2.sf(stat, len(pairs)))
-    by_pair = dict(zip(pairs, total * total / np.diag(variance)))
-    components = tuple(
-        float(by_pair.get((i, i + 1), 0.0)) for i in range(0, features.shape[1], 2)
-    )
     return CITestResult(stat, min(1.0, p), TestMethod.GCM, units, components=components)
 
 
@@ -328,14 +345,18 @@ def conditional_independence_test(
     n_permutations: int = 200,
     seed: int = 0,
     linear_only: bool = False,
+    squares_only: bool = False,
 ) -> CITestResult:
     """Test whether x and y are independent given the scalar conditioner z.
 
-    ``linear_only`` (gcm only) tests the linear moment pair alone; see the
+    ``linear_only`` (gcm only) tests the linear moment pair alone and
+    ``squares_only`` (gcm only) the squares pair alone, one-sided; see the
     module docstring.
     """
-    if linear_only and method is not TestMethod.GCM:
-        raise ValueError("linear_only applies to the gcm test only")
+    if (linear_only or squares_only) and method is not TestMethod.GCM:
+        raise ValueError("linear_only and squares_only apply to the gcm test only")
+    if linear_only and squares_only:
+        raise ValueError("linear_only and squares_only exclude each other")
     xv = _as_vector("x", x, method)
     yv = _as_vector("y", y, method)
     zv = _as_vector("z", z, method)
@@ -343,7 +364,7 @@ def conditional_independence_test(
     if _is_constant(xv) or _is_constant(yv) or _is_constant(zv):
         return CITestResult(0.0, 1.0, method, n, 0, (FLAG_ZERO_VARIANCE,))
     if method is TestMethod.GCM:
-        return _gcm(xv, yv, zv, linear_only)
+        return _gcm(xv, yv, zv, linear_only, squares_only)
     if method is TestMethod.RESIDUAL_PERMUTATION:
         if n_permutations < 1:
             raise ValueError("n_permutations must be positive")

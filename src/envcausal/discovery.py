@@ -25,7 +25,12 @@ moment pair of x1 and y1 alone is significant at LINEAR_GATE_LEVEL, the
 coupling keeps its sign across environments (the mechanism is shared),
 the reverse direction's dependence runs through that linear moment, and
 the two conditional tests use the linear pair alone. Otherwise the sign
-varies between environments and they use both pairs.
+varies between environments, so the linear moment carries nothing, and
+they test the squares pair alone, one-sided against negative dependence.
+That is the sign the reverse direction shows when the coupling's gain
+varies: in the y_to_x test under x -> y, the conditioner y1 is a common
+effect of the cause x1 and the environment's gain, so given y1 a large
+|x1| means a small gain, and hence a small |y2|.
 """
 
 from __future__ import annotations
@@ -135,6 +140,7 @@ def discover_structure(
         and bool(res_independent.components)
         and res_independent.components[0] > _LINEAR_GATE
     )
+    squares_only = test_method is TestMethod.GCM and not linear_only
     res_x_to_y = conditional_independence_test(
         y1,
         x2,
@@ -143,6 +149,7 @@ def discover_structure(
         n_permutations=n_permutations,
         seed=mix64(dataset.seed, 0),
         linear_only=linear_only,
+        squares_only=squares_only,
     )
     res_y_to_x = conditional_independence_test(
         x1,
@@ -152,6 +159,7 @@ def discover_structure(
         n_permutations=n_permutations,
         seed=mix64(dataset.seed, 1),
         linear_only=linear_only,
+        squares_only=squares_only,
     )
     results = [
         ("x_to_y", res_x_to_y),

@@ -358,6 +358,50 @@ def test_gcm_linear_only_null_p_values_are_calibrated():
     assert scipy.stats.kstest(p_values, "uniform").statistic < 0.06
 
 
+def test_gcm_squares_only_rejects_the_explaining_away_sign_alone():
+    rng = np.random.default_rng(38)
+    n = 1000
+    # z is a common effect of the cause and a per-unit gain of either sign;
+    # given z, a large |cause| means a small |gain|, hence a small |other|.
+    gain = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+    cause = rng.laplace(size=n)
+    z = gain * cause + 0.5 * rng.laplace(size=n)
+    other = gain * rng.laplace(size=n) + 0.5 * rng.laplace(size=n)
+    a = conditional_independence_test(cause, other, z, TestMethod.GCM, squares_only=True)
+    b = conditional_independence_test(other, cause, z, TestMethod.GCM, squares_only=True)
+    assert a.p_value == b.p_value and a.statistic == b.statistic
+    assert a.statistic < 0.0 and a.p_value < 1e-3
+    assert a.p_value == pytest.approx(scipy.stats.norm.cdf(a.statistic), rel=1e-12)
+    assert len(a.components) == 1
+    assert a.components[0] == pytest.approx(a.statistic**2, rel=1e-12)
+    # A shared scale makes the squares positively dependent: the two-sided
+    # test rejects, the one-sided one does not.
+    scale = np.exp(rng.standard_normal(n))
+    u, v, w = scale * rng.laplace(size=n), scale * rng.laplace(size=n), rng.laplace(size=n)
+    positive = conditional_independence_test(u, v, w, TestMethod.GCM, squares_only=True)
+    assert positive.statistic > 0.0 and positive.p_value > 0.5
+    assert conditional_independence_test(u, v, w, TestMethod.GCM).p_value < 1e-3
+    with pytest.raises(ValueError, match="gcm"):
+        conditional_independence_test(u, v, w, TestMethod.FISHER_Z, squares_only=True)
+    with pytest.raises(ValueError, match="exclude"):
+        conditional_independence_test(
+            u, v, w, TestMethod.GCM, linear_only=True, squares_only=True
+        )
+
+
+def test_gcm_squares_only_null_p_values_are_calibrated():
+    rng = np.random.default_rng(126)
+    p_values = []
+    for _ in range(1000):
+        z = rng.laplace(size=500)
+        x = z + rng.laplace(size=500)
+        y = np.abs(z) + rng.laplace(size=500)
+        p_values.append(
+            conditional_independence_test(x, y, z, TestMethod.GCM, squares_only=True).p_value
+        )
+    assert scipy.stats.kstest(p_values, "uniform").statistic < 0.06
+
+
 def test_spearman_ignores_monotone_reparameterization():
     rng = np.random.default_rng(33)
     x = rng.standard_normal(80)
