@@ -124,9 +124,16 @@ def _is_constant(v: NDArray[np.float64]) -> bool:
     return bool(np.all(v == v.flat[0]))
 
 
+def _unit_scale(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """v times the power of two that brings its largest magnitude into
+    [0.5, 1): exact, and sums of the result cannot overflow."""
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
+
+
 def _pearson(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
     # Dividing by the largest deviation first keeps the products below
     # from underflowing to zero on tiny but non-constant inputs.
+    a, b = _unit_scale(a), _unit_scale(b)
     ac = a - a.mean()
     bc = b - b.mean()
     ac = ac / np.max(np.abs(ac))
@@ -176,6 +183,7 @@ def _dcor_permutation(
     # Centring and dividing by the largest deviation first makes the
     # statistic free of the inputs' scale: exact for power-of-two scales,
     # and no distance product under- or overflows at extreme ones.
+    a, b = _unit_scale(a), _unit_scale(b)
     a, b = a - a.mean(), b - b.mean()
     spread_a, spread_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
     if spread_a == 0.0 or spread_b == 0.0:
@@ -201,7 +209,9 @@ def _dcor_permutation(
 def _knn_residuals(
     target: NDArray[np.float64], z: NDArray[np.float64], k: int
 ) -> NDArray[np.float64]:
-    # Stable argsort breaks distance ties by lower index.
+    # Stable argsort breaks distance ties by lower index. The residuals
+    # come back in target's unit scale; their one consumer is scale-free.
+    target, z = _unit_scale(target), _unit_scale(z)
     order = np.argsort(np.abs(z[:, None] - z[None, :]), axis=1, kind="stable")
     return target - target[order[:, :k]].mean(axis=1)
 

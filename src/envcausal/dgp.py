@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Literal, Sequence, Union
+from typing import Callable, Literal, Union
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from ._streams import (
     ROLE_CAUSE_NOISE,
@@ -75,41 +75,35 @@ class DataFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeFinettiParams:
-    """Per-environment latent parameters.
-
-    theta: cause Laplace location. psi_loc: effect-noise Laplace location.
-    psi_coef: cause-to-effect coupling (off-diagonal of the triangular
-    coupling matrix), zero for independent structures. psi_nonlinear:
-    whether this environment adds the quadratic coupling term
-    psi_coef * cause^2.
-    """
-
-    theta: float
-    psi_loc: float
-    psi_coef: float
-    psi_nonlinear: bool
-
-
-@dataclass(frozen=True)
 class MultiEnvDataset:
     """All observations as one (E, n, 2) array: environment, within-
-    environment sample index, then the x and y columns."""
+    environment sample index, then the x and y columns.
+
+    ``params`` holds the latent parameters as one (E, 4) table, a row per
+    environment with the columns theta (cause Laplace location), psi_loc
+    (effect-noise Laplace location), psi_coef (cause-to-effect coupling,
+    zero for independent structures) and psi_nonlinear (1.0 when the
+    environment adds the quadratic term psi_coef * cause^2, else 0.0).
+    """
 
     samples: NDArray[np.float64]
     truth: CausalStructure
     regime: VariabilityRegime
-    params: tuple[DeFinettiParams, ...]
+    params: NDArray[np.float64]
     seed: int
     noise_scale: float = 1.0
     collapse_noise: bool = False
 
     def __post_init__(self):
-        shape = np.shape(self.samples)
+        # Frozen, so set through object.__setattr__; float64 arrays pass
+        # through uncopied.
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64))
+        shape = self.samples.shape
         if len(shape) != 3 or shape[2] != 2:
             raise InvalidConfig(f"samples must have shape (E, n, 2), got {shape}")
-        if shape[0] < 1 or len(self.params) != shape[0]:
-            raise InvalidConfig("environments and params must align and be non-empty")
+        if shape[0] < 1 or self.params.shape != (shape[0], 4):
+            raise InvalidConfig("params must have shape (E, 4) for E >= 1 environments")
 
     @property
     def n_environments(self) -> int:
@@ -142,8 +136,8 @@ class DGPConfig:
 
 def sample_definetti_params(
     config: DGPConfig, structure: CausalStructure, rng: np.random.Generator
-) -> tuple[DeFinettiParams, ...]:
-    """Draw one parameter tuple per environment under the regime's priors.
+) -> NDArray[np.float64]:
+    """Draw the (E, 4) parameter table under the regime's priors.
 
     Theta draws and psi-bundle draws come from two child streams spawned
     from ``rng``, so the two blocks cannot interleave: changing how many
@@ -171,7 +165,7 @@ def sample_definetti_params(
 
     table = np.empty((e, 4))
     table[:, 0], table[:, 1], table[:, 2], table[:, 3] = theta, psi_loc, coef, nonlinear
-    return tuple(DeFinettiParams(t, loc, c, bool(nl)) for t, loc, c, nl in table.tolist())
+    return table
 
 
 def _resolve_structure(config: DGPConfig, seed: int) -> CausalStructure:
@@ -187,9 +181,8 @@ def _delta_sides(regime: VariabilityRegime) -> tuple[bool, bool]:
     return cause_pinned, mech_pinned
 
 
-def _param_columns(params: Sequence[DeFinettiParams]):
+def _param_columns(table: NDArray[np.float64]):
     """theta, psi_loc, psi_coef and psi_nonlinear as (E, 1) columns."""
-    table = np.array([(p.theta, p.psi_loc, p.psi_coef, p.psi_nonlinear) for p in params])
     return table[:, 0:1], table[:, 1:2], table[:, 2:3], table[:, 3:4] != 0.0
 
 
@@ -206,17 +199,19 @@ def _noise_block(seed: int, role: int, loc, scale: float, n: int, collapse: bool
 def simulate_with_params(
     config: DGPConfig,
     structure: CausalStructure,
-    params: Sequence[DeFinettiParams],
+    params: ArrayLike,
     seed: int,
 ) -> MultiEnvDataset:
-    """Generate observations for explicitly supplied parameters.
+    """Generate observations for an explicitly supplied (E, 4) parameter
+    table (rows as in :class:`MultiEnvDataset`).
 
     Lower half of :func:`simulate_dataset`; lets tests pin coefficients
     or nonlinearity in ways the sampling priors never would.
     """
     config.validate()
-    if len(params) != config.n_environments:
-        raise InvalidConfig("params length must equal n_environments")
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (config.n_environments, 4):
+        raise InvalidConfig("params must have shape (n_environments, 4)")
     n, b = config.samples_per_env, config.noise_scale
     theta, psi_loc, coef, nonlinear = _param_columns(params)
     cause_pinned, mech_pinned = _delta_sides(config.regime)
@@ -235,7 +230,7 @@ def simulate_with_params(
         samples=np.stack([x, y], axis=-1),
         truth=structure,
         regime=config.regime,
-        params=tuple(params),
+        params=params,
         seed=seed,
         noise_scale=config.noise_scale,
         collapse_noise=config.collapse_noise,
@@ -307,13 +302,8 @@ def write_truth_json(dataset: MultiEnvDataset, path: str | Path) -> None:
         "noise_scale": dataset.noise_scale,
         "collapse_noise": dataset.collapse_noise,
         "params": [
-            {
-                "theta": p.theta,
-                "psi_loc": p.psi_loc,
-                "psi_coef": p.psi_coef,
-                "psi_nonlinear": p.psi_nonlinear,
-            }
-            for p in dataset.params
+            {"theta": theta, "psi_loc": loc, "psi_coef": coef, "psi_nonlinear": bool(nonlinear)}
+            for theta, loc, coef, nonlinear in dataset.params.tolist()
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2))
@@ -419,20 +409,15 @@ def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDatase
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"truth sidecar is not valid JSON: {exc}")
     try:
-        params = tuple(
-            DeFinettiParams(
-                theta=float(p["theta"]),
-                psi_loc=float(p["psi_loc"]),
-                psi_coef=float(p["psi_coef"]),
-                psi_nonlinear=bool(p["psi_nonlinear"]),
-            )
+        rows = [
+            (float(p["theta"]), float(p["psi_loc"]), float(p["psi_coef"]), bool(p["psi_nonlinear"]))
             for p in payload["params"]
-        )
+        ]
         return MultiEnvDataset(
             samples=samples,
             truth=CausalStructure(payload["structure"]),
             regime=VariabilityRegime(payload["regime"]),
-            params=params,
+            params=np.array(rows, dtype=np.float64),
             seed=int(payload["seed"]),
             noise_scale=float(payload.get("noise_scale", 1.0)),
             collapse_noise=bool(payload.get("collapse_noise", False)),

@@ -13,7 +13,7 @@ source space as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -320,23 +320,21 @@ def verify_duality(
 
     A u passes only when the two-sample test keeps p above the level in
     observation space and in source space (through the inverse mixing).
-    ``force_identity_transport`` is a diagnostic that skips the transport
-    on the mechanism path; with any target differing from the base it must
-    make the verification fail.
+    ``force_identity_transport`` is a diagnostic that gives the mechanism
+    path the base as every target, so its transport is the identity; with
+    any target differing from the base it must make the verification fail.
     """
     if config.n_samples < 1:
         raise ValueError("verification needs at least one sample")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
+    mech_config = config
+    if force_identity_transport:
+        mech_config = replace(config, per_u=(config.base,) * len(config.per_u))
     results = []
     for u in range(len(config.per_u)):
         a = generate_cause_variability_samples(config, u)
-        if force_identity_transport:
-            rng = substream(config.seed, ROLE_DUALITY_MECH, u)
-            uniforms = open_uniform(rng, size=(config.n_samples, config.base.d))
-            b = config.f.apply(source_quantiles(config.base, uniforms))
-        else:
-            b = generate_mechanism_variability_samples(config, u)
+        b = generate_mechanism_variability_samples(mech_config, u)
         stat, p_obs = two_sample_test(a, b, config.test, seed=mix64(config.seed, u, 0))
         _, p_src = two_sample_test(
             config.f.invert(a), config.f.invert(b), config.test, seed=mix64(config.seed, u, 1)

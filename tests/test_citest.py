@@ -1,5 +1,7 @@
 """Independence tests: closed-form cases, oracles, symmetry, calibration."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -493,6 +495,41 @@ def test_p_values_are_exactly_invariant_to_power_of_two_scales(seed, n, ka, kb, 
             conditional_independence_test(sx, sy, sz, method, **kw).p_value
             == conditional_independence_test(x, y, z, method, **kw).p_value
         ), method
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(40, 80),
+    *[st.floats(-150.0, 150.0).map(lambda k: 10.0**k)] * 3,
+)
+@settings(max_examples=40, deadline=None)
+def test_parametric_p_values_are_invariant_to_positive_scales(seed, n, a, b, c):
+    rng = np.random.default_rng(seed)
+    x, y, z = rng.standard_normal((3, n))
+    for method in PARAMETRIC:
+        assert marginal_independence_test(a * x, b * y, method).p_value == pytest.approx(
+            marginal_independence_test(x, y, method).p_value, rel=1e-9
+        ), method
+        assert conditional_independence_test(a * x, b * y, c * z, method).p_value == pytest.approx(
+            conditional_independence_test(x, y, z, method).p_value, rel=1e-9
+        ), method
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_inputs_near_the_float_maximum_keep_their_p_values(method):
+    # Summing values near 1.7e308 overflows unless the inputs are scaled
+    # first, and an overflowed mean turns into p = 0 or p = 1.
+    x, y, z = np.random.default_rng(3).random((3, 200))
+    big = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        marginal = marginal_independence_test(big * x, big * y, method).p_value
+        conditional = conditional_independence_test(big * x, big * y, big * z, method).p_value
+    assert 0.0 < marginal <= 1.0 and 0.0 <= conditional <= 1.0
+    assert marginal == pytest.approx(marginal_independence_test(x, y, method).p_value, rel=1e-9)
+    assert conditional == pytest.approx(
+        conditional_independence_test(x, y, z, method).p_value, rel=1e-9
+    )
 
 
 def test_result_type_rejects_out_of_range_p():

@@ -131,6 +131,29 @@ def test_discover_rejects_a_non_finite_truth_seed(tmp_path, dgp_config_path, cap
     assert "truth sidecar malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "garble",
+    [
+        lambda params: [],
+        lambda params: params[:-1],
+        lambda params: params + params[:1],
+        lambda params: params[:-1] + [[0.1, -0.2, 1.5]],
+    ],
+    ids=["empty", "short", "long", "ragged"],
+)
+def test_discover_rejects_a_params_list_that_does_not_match_the_environments(
+    tmp_path, dgp_config_path, capsys, garble
+):
+    data = tmp_path / "data.csv"
+    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
+    truth = tmp_path / "data.truth.json"
+    payload = json.loads(truth.read_text())
+    truth.write_text(json.dumps(dict(payload, params=garble(payload["params"]))))
+    code = main(["discover", "--data", str(data), "--truth", str(truth)])
+    assert code == 2
+    assert "truth sidecar malformed" in capsys.readouterr().err
+
+
 _EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, 2**64, -0.0])
 _JSON_VALUES = _EDGE_VALUES | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),

@@ -11,7 +11,6 @@ from envcausal._streams import substream
 from envcausal.dgp import (
     CausalStructure,
     DataFormatError,
-    DeFinettiParams,
     DegenerateDensity,
     DGPConfig,
     InvalidConfig,
@@ -68,28 +67,24 @@ def test_iid_params_identical_across_environments():
     params = sample_definetti_params(
         _config(IID, CausalStructure.X_TO_Y, e=3), CausalStructure.X_TO_Y, substream(5)
     )
-    assert len(params) == 3
-    assert params[0] == params[1] == params[2]
+    assert params.shape == (3, 4) and params.dtype == np.float64
+    assert np.all(params == params[0])
 
 
 def test_cause_variability_pins_psi_and_moves_theta():
     params = sample_definetti_params(
         _config(CAUSE, CausalStructure.X_TO_Y, e=100), CausalStructure.X_TO_Y, substream(6)
     )
-    psi_locs = {p.psi_loc for p in params}
-    psi_coefs = {p.psi_coef for p in params}
-    thetas = [p.theta for p in params]
-    assert psi_locs == {params[0].psi_loc}
-    assert psi_coefs == {params[0].psi_coef}
-    assert np.var(thetas) > 0
+    assert np.all(params[:, 1:] == params[0, 1:])
+    assert np.var(params[:, 0]) > 0
 
 
 def test_mechanism_variability_pins_theta_and_moves_psi():
     params = sample_definetti_params(
         _config(MECH, CausalStructure.X_TO_Y, e=100), CausalStructure.X_TO_Y, substream(7)
     )
-    assert {p.theta for p in params} == {params[0].theta}
-    assert np.var([p.psi_loc for p in params]) > 0
+    assert np.all(params[:, 0] == params[0, 0])
+    assert np.var(params[:, 1]) > 0
 
 
 def test_full_exchangeable_theta_moments():
@@ -97,7 +92,7 @@ def test_full_exchangeable_theta_moments():
     params = sample_definetti_params(
         _config(FULL, CausalStructure.X_TO_Y, e=10_000), CausalStructure.X_TO_Y, substream(8)
     )
-    thetas = np.array([p.theta for p in params])
+    thetas = params[:, 0]
     assert abs(thetas.mean()) < 0.02
     assert abs(thetas.var() - 1.0 / 3.0) < 0.02
 
@@ -106,7 +101,7 @@ def test_full_exchangeable_thetas_all_distinct():
     params = sample_definetti_params(
         _config(FULL, CausalStructure.X_TO_Y, e=200), CausalStructure.X_TO_Y, substream(9)
     )
-    assert len({p.theta for p in params}) == 200
+    assert np.unique(params[:, 0]).size == 200
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -115,11 +110,11 @@ def test_param_ranges(seed):
         params = sample_definetti_params(
             _config(FULL, structure, e=40), structure, substream(seed)
         )
-        for p in params:
-            assert -1.0 <= p.theta <= 1.0
-            assert -1.0 <= p.psi_loc <= 1.0
-            assert 0.5 <= abs(p.psi_coef) <= 2.0
-            assert isinstance(p.psi_nonlinear, bool)
+        theta, psi_loc, psi_coef, psi_nonlinear = params.T
+        assert np.all((-1.0 <= theta) & (theta <= 1.0))
+        assert np.all((-1.0 <= psi_loc) & (psi_loc <= 1.0))
+        assert np.all((0.5 <= np.abs(psi_coef)) & (np.abs(psi_coef) <= 2.0))
+        assert set(psi_nonlinear) <= {0.0, 1.0}
 
 
 def test_independent_structure_zeroes_the_coupling():
@@ -128,7 +123,7 @@ def test_independent_structure_zeroes_the_coupling():
         CausalStructure.INDEPENDENT,
         substream(10),
     )
-    assert all(p.psi_coef == 0.0 for p in params)
+    assert np.all(params[:, 2] == 0.0)
 
 
 def _reference_params(config, structure, rng):
@@ -148,10 +143,7 @@ def _reference_params(config, structure, rng):
         nonlinear = bool(mech_rng.random() < 0.5)
         coef = 0.0 if structure is CausalStructure.INDEPENDENT else sign * magnitude
         psis.append((psi_loc, coef, nonlinear))
-    return tuple(
-        DeFinettiParams(thetas[i if cause_varies else 0], *psis[i if mech_varies else 0])
-        for i in range(e)
-    )
+    return [[thetas[i if cause_varies else 0], *psis[i if mech_varies else 0]] for i in range(e)]
 
 
 @pytest.mark.parametrize("regime", list(VariabilityRegime))
@@ -160,7 +152,7 @@ def test_param_blocks_equal_scalar_reference_draws(regime, structure):
     for seed, e, magnitudes in [(0, 1, (0.5, 2.0)), (1, 7, (0.5, 2.0)), (2, 60, (0.3, 2.7))]:
         config = _config(regime, structure, e=e, coef_magnitude_range=magnitudes)
         params = sample_definetti_params(config, structure, substream(seed, 77))
-        assert params == _reference_params(config, structure, substream(seed, 77))
+        assert np.array_equal(params, _reference_params(config, structure, substream(seed, 77)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +166,7 @@ def test_simulate_shapes_and_determinism():
     assert a.n_environments == 500
     assert a.samples.shape == (500, 2, 2)
     np.testing.assert_array_equal(a.samples, b.samples)
-    assert a.params == b.params and a.truth is b.truth
+    assert np.array_equal(a.params, b.params) and a.truth is b.truth
 
 
 def test_random_structure_draw_is_seed_stable_and_covers_all_tags():
@@ -194,7 +186,7 @@ def test_pinned_linear_mechanism_residual_is_laplace():
     # With coefficient 1 and the nonlinear term off, y - x recovers the
     # effect noise exactly; its pooled law is Laplace(psi_loc, 1).
     config = _config(IID, CausalStructure.X_TO_Y, e=1, n=20_000)
-    params = [DeFinettiParams(theta=0.3, psi_loc=-0.4, psi_coef=1.0, psi_nonlinear=False)]
+    params = [[0.3, -0.4, 1.0, 0.0]]
     dataset = simulate_with_params(config, CausalStructure.X_TO_Y, params, seed=13)
     residual = dataset.samples[0, :, 1] - dataset.samples[0, :, 0]
     stat = scipy.stats.kstest(residual, scipy.stats.laplace(loc=-0.4, scale=1.0).cdf).statistic
@@ -205,8 +197,7 @@ def test_mirrored_structure_with_nonlinear_term():
     # For y -> x the cause noise lands in y and the effect equation adds
     # coef * cause^2 when the nonlinear indicator is on.
     config = _config(IID, CausalStructure.Y_TO_X, e=1, n=20_000)
-    p = DeFinettiParams(theta=0.6, psi_loc=0.2, psi_coef=1.5, psi_nonlinear=True)
-    dataset = simulate_with_params(config, CausalStructure.Y_TO_X, [p], seed=17)
+    dataset = simulate_with_params(config, CausalStructure.Y_TO_X, [[0.6, 0.2, 1.5, 1.0]], seed=17)
     x, y = dataset.samples[0].T
     residual = x - 1.5 * y - 1.5 * y**2
     stat = scipy.stats.kstest(
@@ -242,7 +233,7 @@ def test_environment_count_extension_preserves_prefix(regime):
     small = simulate_dataset(_config(regime, CausalStructure.Y_TO_X, e=5, n=3), 43)
     large = simulate_dataset(_config(regime, CausalStructure.Y_TO_X, e=9, n=3), 43)
     np.testing.assert_array_equal(small.samples, large.samples[:5])
-    assert small.params == large.params[:5]
+    assert np.array_equal(small.params, large.params[:5])
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +253,10 @@ def test_collapse_noise_makes_mechanism_deterministic_under_cause_variability():
     dataset = simulate_dataset(
         _config(CAUSE, CausalStructure.X_TO_Y, e=30, n=4, collapse_noise=True), 23
     )
-    for (x, y), p in zip(dataset.samples.transpose(0, 2, 1), dataset.params):
-        nl = p.psi_coef * x**2 if p.psi_nonlinear else 0.0
-        np.testing.assert_array_equal(y, p.psi_coef * x + p.psi_loc + nl)
+    pairs = dataset.samples.transpose(0, 2, 1)
+    for (x, y), (_, psi_loc, coef, nonlinear) in zip(pairs, dataset.params):
+        nl = coef * x**2 if nonlinear else 0.0
+        np.testing.assert_array_equal(y, coef * x + psi_loc + nl)
         assert len(set(x)) > 1
 
 
@@ -272,9 +264,9 @@ def test_collapse_noise_under_iid_freezes_both_columns():
     dataset = simulate_dataset(
         _config(IID, CausalStructure.X_TO_Y, e=10, n=3, collapse_noise=True), 29
     )
-    p = dataset.params[0]
+    theta = dataset.params[0, 0]
     for x, y in dataset.samples.transpose(0, 2, 1):
-        assert set(x) == {p.theta}
+        assert set(x) == {theta}
         assert len(set(y)) == 1
 
 
@@ -285,28 +277,31 @@ def test_collapse_noise_under_iid_freezes_both_columns():
 def _oracle_log_density(dataset):
     """Independent recomputation through scipy's Laplace logpdf."""
     total = 0.0
-    for (x, y), p in zip(dataset.samples.transpose(0, 2, 1), dataset.params):
+    pairs = dataset.samples.transpose(0, 2, 1)
+    for (x, y), (theta, psi_loc, coef, nonlinear) in zip(pairs, dataset.params):
         if dataset.truth is CausalStructure.X_TO_Y:
-            nl = p.psi_coef * x**2 if p.psi_nonlinear else 0.0
-            cause, effect = x, y - p.psi_coef * x - nl
+            nl = coef * x**2 if nonlinear else 0.0
+            cause, effect = x, y - coef * x - nl
         elif dataset.truth is CausalStructure.Y_TO_X:
-            nl = p.psi_coef * y**2 if p.psi_nonlinear else 0.0
-            cause, effect = y, x - p.psi_coef * y - nl
+            nl = coef * y**2 if nonlinear else 0.0
+            cause, effect = y, x - coef * y - nl
         else:
             cause, effect = x, y
-        total += scipy.stats.laplace(loc=p.theta, scale=dataset.noise_scale).logpdf(cause).sum()
-        total += scipy.stats.laplace(loc=p.psi_loc, scale=dataset.noise_scale).logpdf(effect).sum()
+        total += scipy.stats.laplace(loc=theta, scale=dataset.noise_scale).logpdf(cause).sum()
+        total += scipy.stats.laplace(loc=psi_loc, scale=dataset.noise_scale).logpdf(effect).sum()
     return float(total)
 
 
 def test_log_density_closed_form_point():
+    # Nested lists are held as float64 arrays.
     dataset = MultiEnvDataset(
-        samples=np.zeros((1, 1, 2)),
+        samples=[[[0.0, 0.0]]],
         truth=CausalStructure.INDEPENDENT,
         regime=IID,
-        params=(DeFinettiParams(0.0, 0.0, 0.0, False),),
+        params=[[0, 0, 0, 0]],
         seed=0,
     )
+    assert dataset.samples.dtype == dataset.params.dtype == np.float64
     assert joint_log_density(dataset) == pytest.approx(2.0 * math.log(0.5), abs=1e-12)
 
 
@@ -341,7 +336,7 @@ def test_log_density_environment_permutation_invariance():
         samples=dataset.samples[order],
         truth=dataset.truth,
         regime=dataset.regime,
-        params=tuple(dataset.params[i] for i in order),
+        params=dataset.params[order],
         seed=dataset.seed,
     )
     assert joint_log_density(permuted) == pytest.approx(value, abs=1e-9)
@@ -369,7 +364,8 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert loaded.truth is dataset.truth
     assert loaded.regime is dataset.regime
     assert loaded.seed == dataset.seed
-    assert loaded.params == dataset.params
+    assert loaded.params.dtype == np.float64
+    assert np.array_equal(loaded.params, dataset.params)
     np.testing.assert_array_equal(loaded.samples, dataset.samples)
     assert joint_log_density(loaded) == joint_log_density(dataset)
 
@@ -427,8 +423,28 @@ def test_dataset_requires_an_environment_by_sample_by_pair_array(shape):
             samples=np.zeros(shape),
             truth=CausalStructure.INDEPENDENT,
             regime=IID,
-            params=(DeFinettiParams(0.0, 0.0, 0.0, False),) * 2,
+            params=np.zeros((2, 4)),
             seed=0,
+        )
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 4), (2, 3), (2, 4, 1)])
+def test_dataset_requires_one_parameter_row_per_environment(shape):
+    with pytest.raises(InvalidConfig):
+        MultiEnvDataset(
+            samples=np.zeros((2, 2, 2)),
+            truth=CausalStructure.INDEPENDENT,
+            regime=IID,
+            params=np.zeros(shape),
+            seed=0,
+        )
+
+
+@pytest.mark.parametrize("params", [[], [[0.0, 0.0, 1.0, 0.0]] * 3, [[0.0, 0.0, 1.0]] * 2])
+def test_simulate_with_params_requires_an_environment_by_four_table(params):
+    with pytest.raises(InvalidConfig):
+        simulate_with_params(
+            _config(IID, CausalStructure.X_TO_Y, e=2), CausalStructure.X_TO_Y, params, seed=0
         )
 
 

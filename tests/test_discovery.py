@@ -16,7 +16,6 @@ from envcausal.citest import (
 from envcausal.dgp import (
     CausalStructure,
     DGPConfig,
-    DeFinettiParams,
     MultiEnvDataset,
     VariabilityRegime,
     simulate_dataset,
@@ -157,7 +156,7 @@ def test_shared_coupling_sign_gates_gcm_to_the_linear_pair():
     # Coupling signs alternate between environments: the linear moment
     # averages out and the squares pair alone stays, tested one-sided.
     config = DGPConfig(n_environments=300, regime=FULL, structure=CausalStructure.X_TO_Y)
-    params = [DeFinettiParams(0.0, 0.0, (-1.0) ** e, False) for e in range(300)]
+    params = [[0.0, 0.0, (-1.0) ** e, 0.0] for e in range(300)]
     flipping = simulate_with_params(config, CausalStructure.X_TO_Y, params, seed=2)
     gated, expected = _gcm_p_values(flipping, linear_only=False)
     decision = discover_structure(flipping)
@@ -241,7 +240,7 @@ def test_label_symmetry_holds_on_the_linear_gcm_path():
     # One shared, same-sign linear coupling: the marginal linear moment
     # passes the gate whatever the noise stream.
     config = DGPConfig(n_environments=300, regime=CAUSE, structure=CausalStructure.X_TO_Y)
-    params = [DeFinettiParams(theta, 0.0, 2.0, False) for theta in np.linspace(-1.0, 1.0, 300)]
+    params = [[theta, 0.0, 2.0, 0.0] for theta in np.linspace(-1.0, 1.0, 300)]
     dataset = simulate_with_params(config, CausalStructure.X_TO_Y, params, seed=3)
     swapped = _with_samples(
         dataset, dataset.samples[..., ::-1].copy(), truth=CausalStructure.Y_TO_X
@@ -261,7 +260,7 @@ def test_environment_order_does_not_matter():
         samples=dataset.samples[order],
         truth=dataset.truth,
         regime=dataset.regime,
-        params=tuple(dataset.params[i] for i in order),
+        params=dataset.params[order],
         seed=dataset.seed,
     )
     a = discover_structure(dataset)

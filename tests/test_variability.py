@@ -229,7 +229,7 @@ def test_scaling_preserves_rank_and_condition():
 
 
 def _param_table(dataset):
-    return np.array([[p.theta, p.psi_loc, p.psi_coef] for p in dataset.params])
+    return dataset.params[:, :3]
 
 
 @pytest.mark.parametrize(
