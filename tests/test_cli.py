@@ -452,3 +452,98 @@ def test_duality_config_key_errors_exit_two(tmp_path, capsys):
     config = _write_json(tmp_path / "dual.json", {"f": {"kind": "identity", "d": 1}})
     assert main(["duality", "--config", config]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Config error messages: one fault per config, the exact stderr line.
+
+
+_SIM = {"n_environments": 20, "regime": "full_exchangeable", "structure": "x_to_y"}
+_BENCH = {"env_grid": [20], "n_seeds": 1, "regimes": ["iid"]}
+_DUAL = {
+    "f": {"kind": "identity", "d": 1},
+    "base": {"family": "gaussian", "location": [0.0], "scale": [1.0]},
+    "per_u": [
+        {"family": "gaussian", "location": [0.0], "scale": [0.5]},
+        {"family": "gaussian", "location": [0.0], "scale": [2.0]},
+    ],
+    "n_samples": 200,
+    "seed": 0,
+}
+_REGIME_CHOICES = "full_exchangeable, cause_variability, mechanism_variability, iid"
+
+
+def _run_config(tmp_path, command, payload):
+    config = _write_json(tmp_path / "config.json", payload)
+    args = [command, "--config", config, "--out", str(tmp_path / "out")]
+    return main(args + ["--seed", "0"] if command == "simulate" else args)
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("simulate", [1], "config: expected an object"),
+        ("simulate", dict(_SIM, bogus=1), "config.bogus: unknown key"),
+        (
+            "simulate",
+            {k: v for k, v in _SIM.items() if k != "regime"},
+            "config.regime: missing required key",
+        ),
+        ("simulate", dict(_SIM, n_environments="20"), "config.n_environments: expected an integer"),
+        ("simulate", dict(_SIM, noise_scale="1"), "config.noise_scale: expected a number"),
+        ("simulate", dict(_SIM, collapse_noise=1), "config.collapse_noise: expected true or false"),
+        (
+            "simulate",
+            dict(_SIM, regime="nope"),
+            f"config.regime: expected one of {_REGIME_CHOICES}, got 'nope'",
+        ),
+        (
+            "simulate",
+            dict(_SIM, structure="sideways"),
+            "config.structure: expected one of x_to_y, y_to_x, independent, got 'sideways'",
+        ),
+        (
+            "simulate",
+            dict(_SIM, coef_magnitude_range=[1.0]),
+            "config.coef_magnitude_range: expected [low, high]",
+        ),
+        ("benchmark", dict(_BENCH, env_grid=20), "config.env_grid: expected a list"),
+        (
+            "benchmark",
+            dict(_BENCH, regimes=["iid", "nope"]),
+            f"config.regimes[1]: expected one of {_REGIME_CHOICES}, got 'nope'",
+        ),
+        (
+            "benchmark",
+            dict(_BENCH, test_method="t-test"),
+            "config.test_method: expected one of fisher-z, spearman-z, residual-perm, gcm, got 't-test'",
+        ),
+        ("benchmark", dict(_BENCH, env_grid=[100, 100]), "env_grid must be strictly increasing"),
+        ("duality", dict(_DUAL, f=[]), "config.f: expected an object"),
+        ("duality", dict(_DUAL, f={"d": 1}), "config.f.kind: missing required key"),
+        (
+            "duality",
+            dict(_DUAL, f={"kind": "spline", "d": 1}),
+            "config.f.kind: expected one of identity, triangular-affine-tanh, got 'spline'",
+        ),
+        ("duality", dict(_DUAL, per_u={}), "config.per_u: expected a list"),
+        (
+            "duality",
+            dict(_DUAL, base=dict(_DUAL["base"], location=0.0)),
+            "config.base.location: expected a list of numbers",
+        ),
+        (
+            "duality",
+            dict(_DUAL, per_u=[_DUAL["per_u"][0], dict(_DUAL["per_u"][1], scale=["2"])]),
+            "config.per_u[1].scale[0]: expected a number",
+        ),
+        (
+            "duality",
+            dict(_DUAL, test="t-test"),
+            "config.test: expected one of ks-per-coordinate, energy-permutation, got 't-test'",
+        ),
+    ],
+)
+def test_config_faults_name_their_json_path(tmp_path, capsys, command, payload, message):
+    assert _run_config(tmp_path, command, payload) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
