@@ -22,14 +22,14 @@ import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._streams import ROLE_BASELINE, mix64, substream
-from .citest import InsufficientSamples, TestMethod
+from .citest import TestMethod
 from .dgp import (
     CausalStructure,
     DataFormatError,
@@ -42,12 +42,9 @@ from .dgp import (
     write_dataset_csv,
     write_truth_json,
 )
-from .discovery import InsufficientEnvironments, discover_structure, random_baseline
+from .discovery import discover_structure, random_baseline
 from .duality import (
-    DimensionMismatch,
     DualityConfig,
-    DualityReport,
-    FamilyMismatch,
     MixingKind,
     MixingSpec,
     SourceFamily,
@@ -58,8 +55,6 @@ from .variability import (
     DensityFamily,
     DensitySpec,
     DiscrepancyQuery,
-    NonPositiveDensity,
-    ShapeMismatch,
     build_modulation_matrix,
     check_sufficient_variability,
     default_discrepancy_interval,
@@ -289,31 +284,9 @@ def summary_csv_text(rows: Sequence[SummaryRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON configuration parsing with pathized error messages.
-
-
-def _load_json_file(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}")
-
-
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return value
-
-
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
-    for key in sorted(set(obj) - allowed):
-        raise ConfigError(f"{path}.{key}: unknown key")
-    for key in sorted(required - set(obj)):
-        raise ConfigError(f"{path}.{key}: missing required key")
+# JSON configuration parsing with pathized error messages. A converter
+# takes (value, path) and returns the typed value or raises ConfigError
+# naming the JSON path; each config is one table of converters.
 
 
 def _as_int(value, path: str) -> int:
@@ -325,6 +298,9 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    # json reads NaN and Infinity, and an integer can exceed the float range.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number")
     return float(value)
 
 
@@ -334,163 +310,109 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _as_enum(enum_cls, value, path: str):
+def _enum(enum_cls, also: tuple = ()):
+    """Converter to a member of ``enum_cls``; values in ``also`` pass unchanged."""
+
+    def convert(value, path: str):
+        if value in also:
+            return value
+        try:
+            return enum_cls(value)
+        except ValueError:
+            valid = ", ".join(m.value for m in enum_cls)
+            raise ConfigError(f"{path}: expected one of {valid}, got {value!r}")
+
+    return convert
+
+
+def _list(item, expected: str = "a list", length: Optional[int] = None):
+    """Converter of a JSON list to a tuple of ``item``-converted values."""
+
+    def convert(value, path: str) -> tuple:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise ConfigError(f"{path}: expected {expected}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return convert
+
+
+def _object(cls, schema: dict):
+    """Converter of a JSON object to ``cls(**converted)``. The keys are those
+    of ``schema``, converted in its order; a field of ``cls`` without a
+    default is required, and an absent optional key keeps the default."""
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+
+    def convert(value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object")
+        for key in sorted(set(value) - set(schema)):
+            raise ConfigError(f"{path}.{key}: unknown key")
+        for key in sorted(required - set(value)):
+            raise ConfigError(f"{path}.{key}: missing required key")
+        return cls(**{k: conv(value[k], f"{path}.{k}") for k, conv in schema.items() if k in value})
+
+    return convert
+
+
+_DGP_CONFIG = _object(
+    DGPConfig,
+    {
+        "structure": _enum(CausalStructure, also=("random",)),
+        "coef_magnitude_range": _list(_as_number, "[low, high]", length=2),
+        "n_environments": _as_int,
+        "regime": _enum(VariabilityRegime),
+        "samples_per_env": _as_int,
+        "noise_scale": _as_number,
+        "collapse_noise": _as_bool,
+    },
+)
+
+_BENCH_CONFIG = _object(
+    BenchConfig,
+    {
+        "env_grid": _list(_as_int),
+        "n_seeds": _as_int,
+        "regimes": _list(_enum(VariabilityRegime)),
+        "samples_per_env": _as_int,
+        "alpha": _as_number,
+        "test_method": _enum(TestMethod),
+        "master_seed": _as_int,
+        "include_random_baseline": _as_bool,
+    },
+)
+
+_SOURCE_FAMILY = _object(
+    SourceFamily,
+    {
+        "location": _list(_as_number, "a list of numbers"),
+        "scale": _list(_as_number, "a list of numbers"),
+        "family": _enum(DensityFamily),
+    },
+)
+
+_DUALITY_CONFIG = _object(
+    DualityConfig,
+    {
+        "f": _object(MixingSpec, {"kind": _enum(MixingKind), "d": _as_int, "seed": _as_int}),
+        "per_u": _list(_SOURCE_FAMILY),
+        "base": _SOURCE_FAMILY,
+        "n_samples": _as_int,
+        "seed": _as_int,
+        "test": _enum(TwoSampleMethod),
+    },
+)
+
+
+def _load_config(path: str, schema):
     try:
-        return enum_cls(value)
-    except ValueError:
-        valid = ", ".join(m.value for m in enum_cls)
-        raise ConfigError(f"{path}: expected one of {valid}, got {value!r}")
-
-
-def dgp_config_from_json(obj, path: str = "config") -> DGPConfig:
-    data = _expect_object(obj, path)
-    _check_keys(
-        data,
-        {
-            "n_environments",
-            "regime",
-            "structure",
-            "samples_per_env",
-            "noise_scale",
-            "collapse_noise",
-            "coef_magnitude_range",
-        },
-        {"n_environments", "regime", "structure"},
-        path,
-    )
-    structure = data["structure"]
-    if structure != "random":
-        structure = _as_enum(CausalStructure, structure, f"{path}.structure")
-    rng_range = data.get("coef_magnitude_range", [0.5, 2.0])
-    if not (isinstance(rng_range, list) and len(rng_range) == 2):
-        raise ConfigError(f"{path}.coef_magnitude_range: expected [low, high]")
-    return DGPConfig(
-        n_environments=_as_int(data["n_environments"], f"{path}.n_environments"),
-        regime=_as_enum(VariabilityRegime, data["regime"], f"{path}.regime"),
-        structure=structure,
-        samples_per_env=_as_int(data.get("samples_per_env", 2), f"{path}.samples_per_env"),
-        noise_scale=_as_number(data.get("noise_scale", 1.0), f"{path}.noise_scale"),
-        collapse_noise=_as_bool(data.get("collapse_noise", False), f"{path}.collapse_noise"),
-        coef_magnitude_range=(
-            _as_number(rng_range[0], f"{path}.coef_magnitude_range[0]"),
-            _as_number(rng_range[1], f"{path}.coef_magnitude_range[1]"),
-        ),
-    )
-
-
-def bench_config_from_json(obj, path: str = "config") -> BenchConfig:
-    data = _expect_object(obj, path)
-    _check_keys(
-        data,
-        {
-            "env_grid",
-            "n_seeds",
-            "regimes",
-            "samples_per_env",
-            "alpha",
-            "test_method",
-            "master_seed",
-            "include_random_baseline",
-        },
-        set(),
-        path,
-    )
-    kwargs = {}
-    if "env_grid" in data:
-        grid = data["env_grid"]
-        if not isinstance(grid, list):
-            raise ConfigError(f"{path}.env_grid: expected a list")
-        kwargs["env_grid"] = tuple(
-            _as_int(v, f"{path}.env_grid[{i}]") for i, v in enumerate(grid)
-        )
-    if "n_seeds" in data:
-        kwargs["n_seeds"] = _as_int(data["n_seeds"], f"{path}.n_seeds")
-    if "regimes" in data:
-        regimes = data["regimes"]
-        if not isinstance(regimes, list):
-            raise ConfigError(f"{path}.regimes: expected a list")
-        kwargs["regimes"] = tuple(
-            _as_enum(VariabilityRegime, v, f"{path}.regimes[{i}]")
-            for i, v in enumerate(regimes)
-        )
-    if "samples_per_env" in data:
-        kwargs["samples_per_env"] = _as_int(data["samples_per_env"], f"{path}.samples_per_env")
-    if "alpha" in data:
-        kwargs["alpha"] = _as_number(data["alpha"], f"{path}.alpha")
-    if "test_method" in data:
-        kwargs["test_method"] = _as_enum(TestMethod, data["test_method"], f"{path}.test_method")
-    if "master_seed" in data:
-        kwargs["master_seed"] = _as_int(data["master_seed"], f"{path}.master_seed")
-    if "include_random_baseline" in data:
-        kwargs["include_random_baseline"] = _as_bool(
-            data["include_random_baseline"], f"{path}.include_random_baseline"
-        )
-    config = BenchConfig(**kwargs)
-    config.validate()
-    return config
-
-
-def _source_family_from_json(obj, path: str) -> SourceFamily:
-    data = _expect_object(obj, path)
-    _check_keys(data, {"family", "location", "scale"}, {"family", "location", "scale"}, path)
-    for key in ("location", "scale"):
-        if not isinstance(data[key], list):
-            raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    return SourceFamily(
-        family=_as_enum(DensityFamily, data["family"], f"{path}.family"),
-        location=tuple(
-            _as_number(v, f"{path}.location[{i}]") for i, v in enumerate(data["location"])
-        ),
-        scale=tuple(_as_number(v, f"{path}.scale[{i}]") for i, v in enumerate(data["scale"])),
-    )
-
-
-def duality_config_from_json(obj, path: str = "config") -> DualityConfig:
-    data = _expect_object(obj, path)
-    _check_keys(
-        data,
-        {"f", "base", "per_u", "n_samples", "seed", "test"},
-        {"f", "base", "per_u", "n_samples", "seed"},
-        path,
-    )
-    f_data = _expect_object(data["f"], f"{path}.f")
-    _check_keys(f_data, {"kind", "d", "seed"}, {"kind", "d"}, f"{path}.f")
-    mixing = MixingSpec(
-        kind=_as_enum(MixingKind, f_data["kind"], f"{path}.f.kind"),
-        d=_as_int(f_data["d"], f"{path}.f.d"),
-        seed=_as_int(f_data.get("seed", 0), f"{path}.f.seed"),
-    )
-    per_u_data = data["per_u"]
-    if not isinstance(per_u_data, list):
-        raise ConfigError(f"{path}.per_u: expected a list")
-    per_u = tuple(
-        _source_family_from_json(v, f"{path}.per_u[{i}]") for i, v in enumerate(per_u_data)
-    )
-    test = data.get("test", TwoSampleMethod.KS_PER_COORDINATE.value)
-    return DualityConfig(
-        f=mixing,
-        base=_source_family_from_json(data["base"], f"{path}.base"),
-        per_u=per_u,
-        n_samples=_as_int(data["n_samples"], f"{path}.n_samples"),
-        seed=_as_int(data["seed"], f"{path}.seed"),
-        test=_as_enum(TwoSampleMethod, test, f"{path}.test"),
-    )
-
-
-def duality_report_to_dict(report: DualityReport) -> dict:
-    return {
-        "per_u_results": [
-            {
-                "u_index": r.u_index,
-                "statistic": r.statistic,
-                "p_value": r.p_value,
-                "source_p_value": r.source_p_value,
-                "passed": r.passed,
-            }
-            for r in report.per_u_results
-        ],
-        "overall_pass": report.overall_pass,
-    }
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}")
+    return schema(obj, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +427,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config = dgp_config_from_json(_load_json_file(args.config))
+    config = _load_config(args.config, _DGP_CONFIG)
     dataset = simulate_dataset(config, args.seed)
     out = Path(args.out)
     write_dataset_csv(dataset, out)
@@ -526,11 +448,7 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    if args.config is None:
-        config = BenchConfig()
-        config.validate()
-    else:
-        config = bench_config_from_json(_load_json_file(args.config))
+    config = BenchConfig() if args.config is None else _load_config(args.config, _BENCH_CONFIG)
     cells, summary = run_benchmark(config, jobs=args.jobs)
     results_text = results_csv_text(cells)
     summary_text = summary_csv_text(summary)
@@ -626,9 +544,8 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_duality(args) -> int:
-    config = duality_config_from_json(_load_json_file(args.config))
-    report = verify_duality(config, level=args.level)
-    _emit(json.dumps(duality_report_to_dict(report), indent=2) + "\n", args.out)
+    report = verify_duality(_load_config(args.config, _DUALITY_CONFIG), level=args.level)
+    _emit(json.dumps(asdict(report), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -724,19 +641,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         where = f" (line {exc.line})" if exc.line is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_DATA
-    except (
-        ConfigError,
-        InvalidConfig,
-        ShapeMismatch,
-        NonPositiveDensity,
-        FamilyMismatch,
-        DimensionMismatch,
-        InsufficientSamples,
-        InsufficientEnvironments,
-        RuntimeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

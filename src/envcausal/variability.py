@@ -77,6 +77,8 @@ class DensitySpec:
     scale: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.loc) and math.isfinite(self.scale)):
+            raise ValueError("loc and scale must be finite")
         if self.scale <= 0:
             raise ValueError("scale must be strictly positive")
 
@@ -98,12 +100,12 @@ class DiscrepancyQuery:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not lo < hi:
-            raise ValueError("interval must satisfy lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("interval must be finite with lo < hi")
         if self.grid_points < 101:
             raise ValueError("grid_points must be at least 101")
-        if self.derivative_step <= 0 or self.zero_tolerance <= 0:
-            raise ValueError("derivative_step and zero_tolerance must be positive")
+        if not (0 < self.derivative_step < math.inf and 0 < self.zero_tolerance < math.inf):
+            raise ValueError("derivative_step and zero_tolerance must be positive and finite")
 
 
 def _as_table(thetas, ndims: tuple[int, ...] = (2,)) -> NDArray[np.float64]:
@@ -132,7 +134,10 @@ def build_modulation_matrix(thetas, baseline_index: int = 0) -> ModulationMatrix
     d, k = table.shape[1], table.shape[2] if table.ndim == 3 else 1
     flat = table.reshape(e, d * k)
     keep = [j for j in range(e) if j != baseline_index]
-    entries = flat[keep] - flat[baseline_index]
+    with np.errstate(over="ignore"):
+        entries = flat[keep] - flat[baseline_index]
+    if not np.all(np.isfinite(entries)):
+        raise ShapeMismatch("parameter differences overflow the float range")
     return ModulationMatrix(entries=entries, baseline_index=baseline_index, d_sources=d, k_order=k)
 
 

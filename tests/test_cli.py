@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and file formats."""
 
+import copy
 import json
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from envcausal.cli import main
+from envcausal import cli
+from envcausal.cli import BenchConfig, main
 from envcausal.dgp import read_dataset, simulate_dataset, DGPConfig
+from envcausal.duality import DualityConfig
 from envcausal.dgp import CausalStructure, VariabilityRegime
 
 
@@ -547,3 +550,139 @@ def _run_config(tmp_path, command, payload):
 def test_config_faults_name_their_json_path(tmp_path, capsys, command, payload, message):
     assert _run_config(tmp_path, command, payload) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("simulate", dict(_SIM, noise_scale=float("nan")), "config.noise_scale: expected a finite number"),
+        ("simulate", dict(_SIM, noise_scale=10**400), "config.noise_scale: expected a finite number"),
+        (
+            "simulate",
+            dict(_SIM, coef_magnitude_range=[1, float("inf")]),
+            "config.coef_magnitude_range[1]: expected a finite number",
+        ),
+        ("benchmark", dict(_BENCH, alpha=float("nan")), "config.alpha: expected a finite number"),
+        (
+            "duality",
+            dict(_DUAL, base=dict(_DUAL["base"], location=[float("nan")])),
+            "config.base.location[0]: expected a finite number",
+        ),
+        (
+            "duality",
+            dict(_DUAL, per_u=[_DUAL["per_u"][0], dict(_DUAL["per_u"][1], scale=[float("nan")])]),
+            "config.per_u[1].scale[0]: expected a finite number",
+        ),
+    ],
+)
+def test_non_finite_config_numbers_exit_two(tmp_path, capsys, command, payload, message):
+    # Python's json reads NaN and Infinity; they used to flow into nan
+    # samples or a passing duality report.
+    assert _run_config(tmp_path, command, payload) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag", ["--step", "--zero-tol", "--p-scale", "--pt-scale", "--p-loc", "--lo 0 --hi"]
+)
+def test_discrepancy_rejects_non_finite_settings(capsys, flag, value):
+    # On two identical densities a NaN step or tolerance used to report
+    # fraction_zero 0.0 and holds_ae true with exit 0.
+    args = [
+        "discrepancy",
+        "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+        "--pt-family", "gaussian", "--pt-loc", "0", "--pt-scale", "1",
+    ]
+    assert main(args + flag.split() + [value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+# Every key of each config is present, so each one can be garbled.
+_READERS = [
+    (
+        cli._DGP_CONFIG,
+        DGPConfig,
+        dict(
+            _SIM,
+            samples_per_env=2,
+            noise_scale=1.0,
+            collapse_noise=False,
+            coef_magnitude_range=[0.5, 2.0],
+        ),
+    ),
+    (
+        cli._BENCH_CONFIG,
+        BenchConfig,
+        dict(
+            _BENCH,
+            samples_per_env=2,
+            alpha=0.05,
+            test_method="gcm",
+            master_seed=0,
+            include_random_baseline=True,
+        ),
+    ),
+    (
+        cli._DUALITY_CONFIG,
+        DualityConfig,
+        dict(_DUAL, f={"kind": "triangular-affine-tanh", "d": 1, "seed": 0}, test="energy-permutation"),
+    ),
+]
+
+
+def _objects(value):
+    """Every JSON object inside ``value``, ``value`` included."""
+    if isinstance(value, list):
+        return [o for v in value for o in _objects(v)]
+    if isinstance(value, dict):
+        return [value] + [o for v in value.values() for o in _objects(v)]
+    return []
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_config_readers_return_their_type_or_raise_a_value_error(data):
+    # The readers are called directly: a garbled n_environments can be 10**12.
+    reader, config_type, valid = data.draw(st.sampled_from(_READERS))
+    payload = copy.deepcopy(valid)
+    _garble(data.draw, data.draw(st.sampled_from(_objects(payload))))
+    try:
+        config = reader(payload, "config")
+    except ValueError:
+        return  # main maps every ValueError to exit 2
+    assert isinstance(config, config_type)
+
+
+@st.composite
+def _params_csv(draw):
+    """A valid parameter table of e environments, one line maybe garbled."""
+    e, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = ["env," + ",".join(f"dim_{j}" for j in range(d))] + [
+        f"{i}," + ",".join(repr(draw(finite)) for _ in range(d)) for i in range(e)
+    ]
+    if draw(st.integers(0, 1)):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.text(max_size=20))
+    return "\n".join(rows).encode()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_variability_fuzzed_params_exit_with_a_status_code(tmp_path, data):
+    # Whatever the bytes of the table, variability ends with 0, 1 or 2.
+    params = data.draw(_params_csv() if data.draw(st.integers(0, 3)) else st.binary(max_size=200))
+    (tmp_path / "params.csv").write_bytes(params)
+    args = ["variability", "--params", str(tmp_path / "params.csv"), "--out", str(tmp_path / "r.json")]
+    assert main(args) in (0, 1, 2)
+
+
+def test_variability_rejects_differences_past_the_float_range(tmp_path, capsys):
+    # 1.7e308 - (-1.7e308) overflows; it used to report rank 0 with a NaN
+    # singular value.
+    params = tmp_path / "params.csv"
+    params.write_text("env,dim_0\n0,1.7e308\n1,-1.7e308\n2,0.0\n")
+    assert main(["variability", "--params", str(params)]) == 2
+    assert capsys.readouterr().err == "error: parameter differences overflow the float range\n"
