@@ -2,9 +2,11 @@
 
 Each digest pins the exact bytes one command writes for a fixed input:
 the simulated CSV and truth sidecar, the decision JSON of every test
-method, and the benchmark's results and summary tables. A refactor that
-keeps the package's outputs must leave every digest unchanged; a change
-that alters an output on purpose must say so and update the digest.
+method, the gcm decision on a dataset that takes the linear-only path,
+the benchmark's results and summary tables, and the duality report of
+the energy permutation test. A refactor that keeps the package's outputs
+must leave every digest unchanged; a change that alters an output on
+purpose must say so and update the digest.
 """
 
 import hashlib
@@ -25,6 +27,24 @@ SIMULATE = {
         {"n_environments": 40, "regime": "iid", "structure": "random", "collapse_noise": True},
         2,
     ),
+    # The marginal gcm test's linear component passes the gate here, so
+    # the conditional tests take the linear-only path.
+    "cause_linear": (
+        {"n_environments": 300, "regime": "cause_variability", "structure": "x_to_y"},
+        4,
+    ),
+}
+
+DUALITY = {
+    "f": {"kind": "triangular-affine-tanh", "d": 2, "seed": 3},
+    "base": {"family": "gaussian", "location": [0.0, 0.0], "scale": [1.0, 1.0]},
+    "per_u": [
+        {"family": "gaussian", "location": [0.5, -1.0], "scale": [0.5, 2.0]},
+        {"family": "gaussian", "location": [0.0, 0.0], "scale": [3.0, 1.0]},
+    ],
+    "n_samples": 150,
+    "seed": 7,
+    "test": "energy-permutation",
 }
 
 GOLDEN = {
@@ -35,9 +55,11 @@ GOLDEN = {
     "discover/gcm.json": "62ca9fa882875ce980d3a999bad5808d0d3052d79cafedb976cdab8c6c6764a3",
     "discover/fisher-z.json": "23b0f8bf73d79154974ae5e158f7a7faba2438e71467b61c80f3d1c532b12aa6",
     "discover/spearman-z.json": "060e77ca6b6c55642a76b1d0c49766a12dec80cd1d5b36479689114a32482335",
+    "discover/cause_linear_gcm.json": "0de306005c65ba53d6a13fbca5a9121c55e3771bc3be0fde2a4f5c40d560559e",
     "discover/residual-perm.json": "7c13affbfe8ec25aaf66a0ad3d539c61f1c371bf9e5f6beb5a0dd3f70dcea53f",
     "benchmark/results.csv": "157192404234e32b87ce2bd73875ea706a752616c7d78fb75f6bb7b77fccda36",
     "benchmark/results.summary.csv": "dc63692557e736eaae5ba258d9a731ff32eaf85044f698c89f3805680d9084cc",
+    "duality/energy.json": "75c833d00c52c6432ae08d6a263025910354566c4957b419e899ef1a2eceab79",
 }
 
 
@@ -66,10 +88,23 @@ def outputs(tmp_path_factory):
             "--out", str(root / "discover" / f"{method}.json"),
         )
 
+    cause = root / "simulate" / "cause_linear"
+    _run(
+        "discover",
+        "--data", str(cause / "data.csv"),
+        "--truth", str(cause / "data.truth.json"),
+        "--out", str(root / "discover" / "cause_linear_gcm.json"),
+    )
+
     (root / "benchmark").mkdir()
     bench_config = root / "bench.json"
     bench_config.write_text(json.dumps({"env_grid": [20, 40], "n_seeds": 3, "regimes": _REGIMES}))
     _run("benchmark", "--config", str(bench_config), "--out", str(root / "benchmark" / "results.csv"))
+
+    (root / "duality").mkdir()
+    duality_config = root / "duality.json"
+    duality_config.write_text(json.dumps(DUALITY))
+    _run("duality", "--config", str(duality_config), "--out", str(root / "duality" / "energy.json"))
     return root
 
 
