@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.stats import chi2, norm, rankdata
+from scipy.special import chdtrc, ndtr, ndtri
 
 from ._streams import ROLE_PERMUTATION, substream
 
@@ -147,7 +147,7 @@ def _fisher_p(r: float, dof: float, method: TestMethod, n: int, flags=()) -> CIT
     if abs(r) >= 1.0:
         return CITestResult(math.copysign(math.inf, r), 0.0, method, n, 0, tuple(flags))
     stat = math.sqrt(dof) * math.atanh(r)
-    p = float(2.0 * norm.sf(abs(stat)))
+    p = float(2.0 * ndtr(-abs(stat)))
     return CITestResult(stat, min(1.0, p), method, n, 0, tuple(flags))
 
 
@@ -216,16 +216,33 @@ def _knn_residuals(
     return target - target[order[:, :k]].mean(axis=1)
 
 
+def _mid_ranks(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """1-based ranks of the raveled entries, ties given their mean rank.
+
+    The same values as ``scipy.stats.rankdata`` without its array-API
+    dispatch: a stable sort, then each run of equal values gets the mean
+    of the ordinal ranks it spans, an exact half-integer.
+    """
+    flat = v.ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.cumsum(first)
+    # count[k] is the number of entries below the (k+1)-th distinct value.
+    count = np.append(np.flatnonzero(first), flat.size)
+    ranks = np.empty(flat.size)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
+
+
 def _normal_scores(v: NDArray[np.float64]) -> NDArray[np.float64]:
     """Standard normal quantiles of the mid-ranks, taken over every entry."""
-    flat = v.ravel()
-    return norm.ppf((rankdata(flat) - 0.5) / flat.size).reshape(v.shape)
+    return ndtri((_mid_ranks(v) - 0.5) / v.size).reshape(v.shape)
 
 
 def _uniform_scores(v: NDArray[np.float64]) -> NDArray[np.float64]:
     """Centred mid-ranks over every entry, scaled to unit variance."""
-    flat = v.ravel()
-    return (math.sqrt(12.0) * ((rankdata(flat) - 0.5) / flat.size - 0.5)).reshape(v.shape)
+    return (math.sqrt(12.0) * ((_mid_ranks(v) - 0.5) / v.size - 0.5)).reshape(v.shape)
 
 
 def _spline_basis(z: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -310,13 +327,14 @@ def _gcm(
         if not variance[0, 0] > 0.0:
             return CITestResult(0.0, 1.0, TestMethod.GCM, units, 0, (FLAG_NUMERICAL_DEGENERACY,))
         stat = float(total[0]) / math.sqrt(float(variance[0, 0]))
-        p = float(norm.cdf(stat))
+        p = float(ndtr(stat))
         return CITestResult(stat, min(1.0, p), TestMethod.GCM, units, components=components)
     try:
         stat = float(total @ np.linalg.solve(variance, total))
     except np.linalg.LinAlgError:
         return CITestResult(0.0, 1.0, TestMethod.GCM, units, 0, (FLAG_NUMERICAL_DEGENERACY,))
-    p = float(chi2.sf(stat, len(pairs)))
+    # chdtrc is NaN below zero, where the chi-squared tail is 1.
+    p = float(chdtrc(len(pairs), max(stat, 0.0)))
     return CITestResult(stat, min(1.0, p), TestMethod.GCM, units, components=components)
 
 
@@ -342,7 +360,7 @@ def marginal_independence_test(
             raise ValueError("n_permutations must be positive")
         return _dcor_permutation(xv, yv, method, n_permutations, seed)
     if method is TestMethod.SPEARMAN_Z:
-        xv, yv = rankdata(xv), rankdata(yv)
+        xv, yv = _mid_ranks(xv), _mid_ranks(yv)
     return _fisher_p(_pearson(xv, yv), n - 3, method, n)
 
 
@@ -383,7 +401,7 @@ def conditional_independence_test(
         ry = _knn_residuals(yv, zv, k)
         return _dcor_permutation(rx, ry, method, n_permutations, seed)
     if method is TestMethod.SPEARMAN_Z:
-        xv, yv, zv = rankdata(xv), rankdata(yv), rankdata(zv)
+        xv, yv, zv = _mid_ranks(xv), _mid_ranks(yv), _mid_ranks(zv)
     r_xy = _pearson(xv, yv)
     r_xz = _pearson(xv, zv)
     r_yz = _pearson(yv, zv)

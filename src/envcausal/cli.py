@@ -78,6 +78,11 @@ RESULTS_HEADER = (
 )
 SUMMARY_HEADER = "regime,n_envs,accuracy_mean,accuracy_std,baseline_accuracy,n_cells"
 
+# run_benchmark holds every cell's task, its BenchCell and its CSV line
+# until the end: ~820 bytes per cell at peak (tracemalloc, 100,000 cells,
+# CPython 3.11), so this many cells stay under 1 GB.
+_MAX_BENCH_CELLS = 1_000_000
+
 
 class ConfigError(ValueError):
     """A configuration file failed validation; message names the JSON path."""
@@ -117,6 +122,11 @@ class BenchConfig:
             raise InvalidConfig("samples_per_env must be at least 2")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig("alpha must lie strictly between 0 and 1")
+        cells = len(self.regimes) * len(self.env_grid) * self.n_seeds
+        if cells > _MAX_BENCH_CELLS:
+            raise InvalidConfig(
+                f"regimes x env_grid x n_seeds is {cells} cells, over the limit of {_MAX_BENCH_CELLS}"
+            )
 
 
 @dataclass(frozen=True)

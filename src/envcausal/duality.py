@@ -286,12 +286,23 @@ def two_sample_test(
     dist = np.sqrt((diff * diff).sum(axis=2))
     labels = np.arange(n + m)
     observed = _energy_statistic(dist, labels[:n], labels[n:])
+    total = dist.sum()
     rng = substream(seed, ROLE_PERMUTATION)
     exceed = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(n + m)
-        if _energy_statistic(dist, perm[:n], perm[n:]) >= observed:
-            exceed += 1
+    # Permutations go in blocks of at most n + m, so the block's arrays
+    # never outgrow the distance matrix.
+    for start in range(0, n_permutations, n + m):
+        block = min(n + m, n_permutations - start)
+        perms = np.stack([rng.permutation(n + m) for _ in range(block)])
+        # Row p marks the pooled rows that permutation p sends to table a.
+        in_a = np.zeros((block, n + m))
+        in_a[np.arange(block)[:, None], perms[:, :n]] = 1.0
+        row = in_a @ dist
+        sum_aa = np.einsum("pj,pj->p", row, in_a)
+        sum_ab = row.sum(axis=1) - sum_aa
+        sum_bb = total - sum_aa - 2.0 * sum_ab
+        permuted = 2.0 * sum_ab / (n * m) - sum_aa / (n * n) - sum_bb / (m * m)
+        exceed += int(np.count_nonzero(permuted >= observed))
     return observed, (exceed + 1) / (n_permutations + 1)
 
 

@@ -211,10 +211,15 @@ def interventional_discrepancy_fraction(query: DiscrepancyQuery) -> tuple[float,
     def log_ratio(points: NDArray[np.float64]) -> NDArray[np.float64]:
         lp = query.density_p.log_pdf(points)
         lpt = query.density_p_tilde.log_pdf(points)
+        # Finite settings near the float maximum overflow the shifted grid
+        # or the squared standardized distance to an infinite log-density.
+        if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(lpt))):
+            raise NonPositiveDensity("log-density overflows the float range on the evaluation grid")
         if np.any(lp <= _LOG_UNDERFLOW) or np.any(lpt <= _LOG_UNDERFLOW):
             raise NonPositiveDensity("density underflows to zero on the evaluation grid")
         return lpt - lp
 
-    derivative = (log_ratio(grid + h) - log_ratio(grid - h)) / (2.0 * h)
+    with np.errstate(over="ignore"):
+        derivative = (log_ratio(grid + h) - log_ratio(grid - h)) / (2.0 * h)
     fraction_zero = float(np.mean(np.abs(derivative) <= query.zero_tolerance))
     return fraction_zero, fraction_zero <= 0.01

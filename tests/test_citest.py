@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc, ndtr, ndtri
 
 from envcausal.citest import (
     FLAG_NUMERICAL_DEGENERACY,
@@ -14,6 +15,7 @@ from envcausal.citest import (
     CITestResult,
     InsufficientSamples,
     TestMethod,
+    _mid_ranks,
     conditional_independence_test,
     marginal_independence_test,
 )
@@ -535,3 +537,54 @@ def test_inputs_near_the_float_maximum_keep_their_p_values(method):
 def test_result_type_rejects_out_of_range_p():
     with pytest.raises(ValueError):
         CITestResult(0.0, 1.5, TestMethod.FISHER_Z, 10)
+
+
+# ---------------------------------------------------------------------------
+# Scoring primitives against their scipy.stats reference.
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 2000)),
+        st.tuples(st.integers(1, 1000), st.just(2)),
+        st.tuples(st.integers(1, 50), st.integers(1, 40)),
+    ),
+    st.integers(1, 2000),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_mid_ranks_equal_scipy_rankdata_bit_for_bit(shape, distinct, seed):
+    # Values drawn with replacement from a small pool force ties; the pool
+    # holds both signed zeros, which compare equal and so share a rank.
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, -0.0], rng.standard_normal(distinct)])
+    values = rng.choice(pool, size=shape)
+    assert _same_bits(_mid_ranks(values), scipy.stats.rankdata(values.ravel()))
+
+
+@given(st.integers(1, 2000))
+@settings(max_examples=100, deadline=None)
+def test_normal_scores_equal_norm_ppf_bit_for_bit(n):
+    # Mid-ranks are half-integers in [1, n], so these are every quantile
+    # level a score of n entries can take.
+    levels = (np.arange(2, 2 * n + 1) / 2.0 - 0.5) / n
+    assert _same_bits(ndtri(levels), scipy.stats.norm.ppf(levels))
+
+
+def test_direct_p_value_functions_equal_scipy_stats_over_the_statistic_range():
+    z = np.concatenate(
+        [np.linspace(-40.0, 40.0, 20001), np.logspace(-300.0, 1.6, 400), [0.0, -0.0]]
+    )
+    z = np.concatenate([z, -z])
+    assert _same_bits(ndtr(z), scipy.stats.norm.cdf(z))
+    assert _same_bits(ndtr(-np.abs(z)), scipy.stats.norm.sf(np.abs(z)))
+    wald = np.concatenate([[-1.0, -1e-300, 0.0], np.linspace(0.0, 2000.0, 20001)])
+    for dof in (1, 2):
+        assert _same_bits(
+            chdtrc(dof, np.maximum(wald, 0.0)), scipy.stats.chi2.sf(wald, dof)
+        )

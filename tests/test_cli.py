@@ -2,6 +2,7 @@
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -522,6 +523,11 @@ def _run_config(tmp_path, command, payload):
             "config.test_method: expected one of fisher-z, spearman-z, residual-perm, gcm, got 't-test'",
         ),
         ("benchmark", dict(_BENCH, env_grid=[100, 100]), "env_grid must be strictly increasing"),
+        (
+            "benchmark",
+            dict(_BENCH, regimes=["iid", "cause_variability"], n_seeds=10**399),
+            f"regimes x env_grid x n_seeds is {2 * 10**399} cells, over the limit of 1000000",
+        ),
         ("duality", dict(_DUAL, f=[]), "config.f: expected an object"),
         ("duality", dict(_DUAL, f={"d": 1}), "config.f.kind: missing required key"),
         (
@@ -598,6 +604,23 @@ def test_discrepancy_rejects_non_finite_settings(capsys, flag, value):
     assert main(args + flag.split() + [value]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+@pytest.mark.parametrize("setting", ["--step 1e308", "--p-loc 1e308", "--p-scale 1e300"])
+def test_discrepancy_names_a_log_density_overflow(capsys, setting):
+    # These used to warn of an overflow in DensitySpec.log_pdf and then
+    # report that the density underflows to zero.
+    args = [
+        "discrepancy",
+        "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+        "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + setting.split()) == 2
+    assert capsys.readouterr() == (
+        "", "error: log-density overflows the float range on the evaluation grid\n"
+    )
 
 
 # Every key of each config is present, so each one can be garbled.

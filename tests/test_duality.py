@@ -21,7 +21,7 @@ from envcausal.duality import (
     verify_duality,
 )
 from envcausal.variability import DensityFamily
-from envcausal._streams import open_uniform, substream
+from envcausal._streams import ROLE_PERMUTATION, open_uniform, substream
 
 G = DensityFamily.GAUSSIAN
 L = DensityFamily.LAPLACE
@@ -163,6 +163,41 @@ def test_energy_permutation_floor_under_a_clear_difference():
     stat, p = two_sample_test(a, b, TwoSampleMethod.ENERGY_PERMUTATION, seed=5)
     assert stat > 0.1
     assert p == pytest.approx(1.0 / 201.0)
+
+
+def _energy_loop_reference(a, b, n_permutations, seed):
+    """One permutation at a time, each statistic from index gathers."""
+    pooled = np.vstack([a, b])
+    diff = pooled[:, None, :] - pooled[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    n = a.shape[0]
+
+    def energy(idx_a, idx_b):
+        within_a = dist[np.ix_(idx_a, idx_a)].mean()
+        within_b = dist[np.ix_(idx_b, idx_b)].mean()
+        return float(2.0 * dist[np.ix_(idx_a, idx_b)].mean() - within_a - within_b)
+
+    labels = np.arange(pooled.shape[0])
+    observed = energy(labels[:n], labels[n:])
+    rng = substream(seed, ROLE_PERMUTATION)
+    exceed = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(pooled.shape[0])
+        exceed += energy(perm[:n], perm[n:]) >= observed
+    return observed, (exceed + 1) / (n_permutations + 1)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_energy_permutations_match_the_loop_reference(seed):
+    rng = substream(40, seed)
+    n, m = (int(k) for k in rng.integers(5, 60, size=2))
+    d = int(rng.integers(1, 4))
+    a = rng.normal(size=(n, d))
+    b = rng.normal(loc=rng.uniform(0.0, 0.5), size=(m, d))
+    # 60 permutations of at least 10 pooled rows: one block or several.
+    expected = _energy_loop_reference(a, b, 60, seed)
+    got = two_sample_test(a, b, TwoSampleMethod.ENERGY_PERMUTATION, n_permutations=60, seed=seed)
+    assert got == expected
 
 
 def test_energy_pooled_size_guard():
