@@ -523,11 +523,6 @@ def _run_config(tmp_path, command, payload):
             "config.test_method: expected one of fisher-z, spearman-z, residual-perm, gcm, got 't-test'",
         ),
         ("benchmark", dict(_BENCH, env_grid=[100, 100]), "env_grid must be strictly increasing"),
-        (
-            "benchmark",
-            dict(_BENCH, regimes=["iid", "cause_variability"], n_seeds=10**399),
-            f"regimes x env_grid x n_seeds is {2 * 10**399} cells, over the limit of 1000000",
-        ),
         ("duality", dict(_DUAL, f=[]), "config.f: expected an object"),
         ("duality", dict(_DUAL, f={"d": 1}), "config.f.kind: missing required key"),
         (
@@ -550,6 +545,11 @@ def _run_config(tmp_path, command, payload):
             "duality",
             dict(_DUAL, test="t-test"),
             "config.test: expected one of ks-per-coordinate, energy-permutation, got 't-test'",
+        ),
+        (
+            "benchmark",
+            dict(_BENCH, regimes=["iid", "cause_variability"], n_seeds=10**399),
+            f"regimes x env_grid x n_seeds is {2 * 10**399} cells, over the limit of 1000000",
         ),
     ],
 )
