@@ -3,10 +3,11 @@
 Each digest pins the exact bytes one command writes for a fixed input:
 the simulated CSV and truth sidecar, the decision JSON of every test
 method, the gcm decision on a dataset that takes the linear-only path,
-the benchmark's results and summary tables, and the duality report of
-the energy permutation test. A refactor that keeps the package's outputs
-must leave every digest unchanged; a change that alters an output on
-purpose must say so and update the digest.
+the benchmark's results and summary tables, the duality report of the
+energy permutation test, the variability report of a parameter table and
+the discrepancy report of two shifted Laplace densities. A refactor that
+keeps the package's outputs must leave every digest unchanged; a change
+that alters an output on purpose must say so and update the digest.
 """
 
 import hashlib
@@ -47,6 +48,15 @@ DUALITY = {
     "test": "energy-permutation",
 }
 
+# Two difference rows for three columns: a rank-deficient report with a flag.
+VARIABILITY_PARAMS = "env,dim_0,dim_1,dim_2\n1,0.3,-1.25,2.0\n0,0.1,0.7,-0.4\n2,1.9,0.05,3.5\n"
+
+DISCREPANCY = (
+    "--p-family", "laplace", "--p-loc", "0.25", "--p-scale", "1.5",
+    "--pt-family", "laplace", "--pt-loc", "-0.5", "--pt-scale", "1.5",
+    "--grid-points", "2001",
+)
+
 GOLDEN = {
     "simulate/full/data.csv": "1fa16e2e555b77f081324ef41dee091bf47829985afbe7e04062e2e0670129cc",
     "simulate/full/data.truth.json": "ae3bfc120f129c51d167cdfe6cf39d7ede7d8fa2c0484b680713233488a18e77",
@@ -60,6 +70,8 @@ GOLDEN = {
     "benchmark/results.csv": "157192404234e32b87ce2bd73875ea706a752616c7d78fb75f6bb7b77fccda36",
     "benchmark/results.summary.csv": "dc63692557e736eaae5ba258d9a731ff32eaf85044f698c89f3805680d9084cc",
     "duality/energy.json": "75c833d00c52c6432ae08d6a263025910354566c4957b419e899ef1a2eceab79",
+    "variability/report.json": "fad804367709695a783a829ca29784f1da5fa3b9bc2f20299f2fb8afcbc597bf",
+    "discrepancy/report.json": "3acf04afb760bb2fbd097e76dc3e1a5dc76de1b13981cc969a9c29a66a92ecbf",
 }
 
 
@@ -105,6 +117,14 @@ def outputs(tmp_path_factory):
     duality_config = root / "duality.json"
     duality_config.write_text(json.dumps(DUALITY))
     _run("duality", "--config", str(duality_config), "--out", str(root / "duality" / "energy.json"))
+
+    (root / "variability").mkdir()
+    params = root / "params.csv"
+    params.write_text(VARIABILITY_PARAMS)
+    _run("variability", "--params", str(params), "--out", str(root / "variability" / "report.json"))
+
+    (root / "discrepancy").mkdir()
+    _run("discrepancy", *DISCREPANCY, "--out", str(root / "discrepancy" / "report.json"))
     return root
 
 
