@@ -1,9 +1,8 @@
 """Marginal and conditional independence tests with p-value output.
 
-Four interchangeable methods share one result type. The parametric pair
+Three interchangeable methods share one result type. The parametric pair
 (Fisher z on Pearson or Spearman correlations) gives closed-form normal
-p-values; the nonparametric alternative residualizes with k-nearest-
-neighbor regression and permutes a distance-correlation statistic.
+p-values.
 
 The generalised covariance method (``gcm``, after Shah and Peters, 2020)
 pairs the normal scores of x and y and also their squares, so it sees
@@ -43,8 +42,6 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import chdtrc, ndtr, ndtri
 
-from ._streams import ROLE_PERMUTATION, substream
-
 
 class TestMethod(str, Enum):
     # Keeps pytest from collecting this Test-prefixed name when imported
@@ -53,7 +50,6 @@ class TestMethod(str, Enum):
 
     FISHER_Z = "fisher-z"
     SPEARMAN_Z = "spearman-z"
-    RESIDUAL_PERMUTATION = "residual-perm"
     GCM = "gcm"
 
 
@@ -66,11 +62,9 @@ _DEGENERACY_EPS = 1e-12
 _MIN_N = {
     (False, TestMethod.FISHER_Z): 8,
     (False, TestMethod.SPEARMAN_Z): 8,
-    (False, TestMethod.RESIDUAL_PERMUTATION): 20,
     (False, TestMethod.GCM): 20,
     (True, TestMethod.FISHER_Z): 10,
     (True, TestMethod.SPEARMAN_Z): 10,
-    (True, TestMethod.RESIDUAL_PERMUTATION): 30,
     (True, TestMethod.GCM): 20,
 }
 
@@ -90,7 +84,6 @@ class CITestResult:
     p_value: float
     method: TestMethod
     n: int
-    n_permutations: int = 0
     flags: tuple[str, ...] = ()
     # gcm only: the one-degree-of-freedom statistic of each moment pair
     # tested, linear then squares, 0 for a pair dropped as degenerate.
@@ -145,15 +138,10 @@ def _pearson(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
 
 def _fisher_p(r: float, dof: float, method: TestMethod, n: int, flags=()) -> CITestResult:
     if abs(r) >= 1.0:
-        return CITestResult(math.copysign(math.inf, r), 0.0, method, n, 0, tuple(flags))
+        return CITestResult(math.copysign(math.inf, r), 0.0, method, n, tuple(flags))
     stat = math.sqrt(dof) * math.atanh(r)
     p = float(2.0 * ndtr(-abs(stat)))
-    return CITestResult(stat, min(1.0, p), method, n, 0, tuple(flags))
-
-
-def _centered_distances(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    d = np.abs(v[:, None] - v[None, :])
-    return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+    return CITestResult(stat, min(1.0, p), method, n, tuple(flags))
 
 
 def _canonical_sides(
@@ -161,59 +149,12 @@ def _canonical_sides(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Order the pair so both argument orders run the identical computation.
 
-    The second element of the returned pair is the one the permutation
-    loop shuffles; picking it by byte comparison makes the permutation and
-    gcm tests exactly symmetric in their arguments, floating-point
-    rounding included.
+    Picking the order by byte comparison makes the gcm test exactly
+    symmetric in its arguments, floating-point rounding included.
     """
     if a.tobytes() <= b.tobytes():
         return a, b
     return b, a
-
-
-def _dcor_permutation(
-    a: NDArray[np.float64],
-    b: NDArray[np.float64],
-    method: TestMethod,
-    n_permutations: int,
-    seed: int,
-    flags: tuple[str, ...] = (),
-) -> CITestResult:
-    n = a.shape[0]
-    # Centring and dividing by the largest deviation first makes the
-    # statistic free of the inputs' scale: exact for power-of-two scales,
-    # and no distance product under- or overflows at extreme ones.
-    a, b = _unit_scale(a), _unit_scale(b)
-    a, b = a - a.mean(), b - b.mean()
-    spread_a, spread_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
-    if spread_a == 0.0 or spread_b == 0.0:
-        return CITestResult(
-            0.0, 1.0, method, n, n_permutations, flags + (FLAG_NUMERICAL_DEGENERACY,)
-        )
-    a, b = _canonical_sides(a / spread_a, b / spread_b)
-    ca = _centered_distances(a)
-    cb = _centered_distances(b)
-    scale = math.sqrt(float((ca * ca).mean()) * float((cb * cb).mean()))
-    observed_cov = float((ca * cb).mean())
-    statistic = math.sqrt(max(observed_cov, 0.0) / scale)
-    rng = substream(seed, ROLE_PERMUTATION)
-    exceed = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(n)
-        if float((ca * cb[np.ix_(perm, perm)]).mean()) >= observed_cov:
-            exceed += 1
-    p = (exceed + 1) / (n_permutations + 1)
-    return CITestResult(statistic, p, method, n, n_permutations, flags)
-
-
-def _knn_residuals(
-    target: NDArray[np.float64], z: NDArray[np.float64], k: int
-) -> NDArray[np.float64]:
-    # Stable argsort breaks distance ties by lower index. The residuals
-    # come back in target's unit scale; their one consumer is scale-free.
-    target, z = _unit_scale(target), _unit_scale(z)
-    order = np.argsort(np.abs(z[:, None] - z[None, :]), axis=1, kind="stable")
-    return target - target[order[:, :k]].mean(axis=1)
 
 
 def _mid_ranks(v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -303,7 +244,7 @@ def _gcm(
     )
     pairs = [(i, i + 1) for i in range(0, features.shape[1], 2) if kept[i] and kept[i + 1]]
     if not pairs:
-        return CITestResult(0.0, 1.0, TestMethod.GCM, units, 0, (FLAG_NUMERICAL_DEGENERACY,))
+        return CITestResult(0.0, 1.0, TestMethod.GCM, units, (FLAG_NUMERICAL_DEGENERACY,))
     ra = np.stack([residuals[:, i].reshape(units, -1) for i, _ in pairs])
     rb = np.stack([residuals[:, j].reshape(units, -1) for _, j in pairs])
     per_unit = np.sum(ra * rb, axis=2).T  # (units, len(pairs))
@@ -325,40 +266,30 @@ def _gcm(
     if squares_only:
         # One pair, one-sided: the statistic is the signed standardized sum.
         if not variance[0, 0] > 0.0:
-            return CITestResult(0.0, 1.0, TestMethod.GCM, units, 0, (FLAG_NUMERICAL_DEGENERACY,))
+            return CITestResult(0.0, 1.0, TestMethod.GCM, units, (FLAG_NUMERICAL_DEGENERACY,))
         stat = float(total[0]) / math.sqrt(float(variance[0, 0]))
         p = float(ndtr(stat))
         return CITestResult(stat, min(1.0, p), TestMethod.GCM, units, components=components)
     try:
         stat = float(total @ np.linalg.solve(variance, total))
     except np.linalg.LinAlgError:
-        return CITestResult(0.0, 1.0, TestMethod.GCM, units, 0, (FLAG_NUMERICAL_DEGENERACY,))
+        return CITestResult(0.0, 1.0, TestMethod.GCM, units, (FLAG_NUMERICAL_DEGENERACY,))
     # chdtrc is NaN below zero, where the chi-squared tail is 1.
     p = float(chdtrc(len(pairs), max(stat, 0.0)))
     return CITestResult(stat, min(1.0, p), TestMethod.GCM, units, components=components)
 
 
-def marginal_independence_test(
-    x,
-    y,
-    method: TestMethod = TestMethod.FISHER_Z,
-    *,
-    n_permutations: int = 200,
-    seed: int = 0,
-) -> CITestResult:
+def marginal_independence_test(x, y, method: TestMethod = TestMethod.FISHER_Z) -> CITestResult:
     """Test whether x and y are independent; higher p means less evidence
     against independence."""
+    method = TestMethod(method)
     xv = _as_vector("x", x, method)
     yv = _as_vector("y", y, method)
     n = _check_lengths(False, method, xv, yv)
     if _is_constant(xv) or _is_constant(yv):
-        return CITestResult(0.0, 1.0, method, n, 0, (FLAG_ZERO_VARIANCE,))
+        return CITestResult(0.0, 1.0, method, n, (FLAG_ZERO_VARIANCE,))
     if method is TestMethod.GCM:
         return _gcm(xv, yv, None)
-    if method is TestMethod.RESIDUAL_PERMUTATION:
-        if n_permutations < 1:
-            raise ValueError("n_permutations must be positive")
-        return _dcor_permutation(xv, yv, method, n_permutations, seed)
     if method is TestMethod.SPEARMAN_Z:
         xv, yv = _mid_ranks(xv), _mid_ranks(yv)
     return _fisher_p(_pearson(xv, yv), n - 3, method, n)
@@ -370,8 +301,6 @@ def conditional_independence_test(
     z,
     method: TestMethod = TestMethod.FISHER_Z,
     *,
-    n_permutations: int = 200,
-    seed: int = 0,
     linear_only: bool = False,
     squares_only: bool = False,
 ) -> CITestResult:
@@ -381,6 +310,7 @@ def conditional_independence_test(
     ``squares_only`` (gcm only) the squares pair alone, one-sided; see the
     module docstring.
     """
+    method = TestMethod(method)
     if (linear_only or squares_only) and method is not TestMethod.GCM:
         raise ValueError("linear_only and squares_only apply to the gcm test only")
     if linear_only and squares_only:
@@ -390,16 +320,9 @@ def conditional_independence_test(
     zv = _as_vector("z", z, method)
     n = _check_lengths(True, method, xv, yv, zv)
     if _is_constant(xv) or _is_constant(yv) or _is_constant(zv):
-        return CITestResult(0.0, 1.0, method, n, 0, (FLAG_ZERO_VARIANCE,))
+        return CITestResult(0.0, 1.0, method, n, (FLAG_ZERO_VARIANCE,))
     if method is TestMethod.GCM:
         return _gcm(xv, yv, zv, linear_only, squares_only)
-    if method is TestMethod.RESIDUAL_PERMUTATION:
-        if n_permutations < 1:
-            raise ValueError("n_permutations must be positive")
-        k = math.ceil(math.sqrt(n))
-        rx = _knn_residuals(xv, zv, k)
-        ry = _knn_residuals(yv, zv, k)
-        return _dcor_permutation(rx, ry, method, n_permutations, seed)
     if method is TestMethod.SPEARMAN_Z:
         xv, yv, zv = _mid_ranks(xv), _mid_ranks(yv), _mid_ranks(zv)
     r_xy = _pearson(xv, yv)
@@ -408,7 +331,7 @@ def conditional_independence_test(
     vx = 1.0 - r_xz * r_xz
     vy = 1.0 - r_yz * r_yz
     if vx < _DEGENERACY_EPS or vy < _DEGENERACY_EPS:
-        return CITestResult(0.0, 1.0, method, n, 0, (FLAG_NUMERICAL_DEGENERACY,))
+        return CITestResult(0.0, 1.0, method, n, (FLAG_NUMERICAL_DEGENERACY,))
     partial = (r_xy - r_xz * r_yz) / math.sqrt(vx * vy)
     partial = min(1.0, max(-1.0, partial))
     return _fisher_p(partial, n - 4, method, n)

@@ -447,12 +447,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_discover(args) -> int:
     dataset = read_dataset(args.data, args.truth)
-    decision = discover_structure(
-        dataset,
-        TestMethod(args.test),
-        args.alpha,
-        n_permutations=args.permutations,
-    )
+    decision = discover_structure(dataset, args.test, args.alpha)
     _emit(json.dumps(decision.to_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -479,15 +474,10 @@ def _cmd_benchmark(args) -> int:
 def _cmd_variability(args) -> int:
     thetas = _read_params_csv(args.params)
     matrix = build_modulation_matrix(thetas, args.baseline)
-    report = check_sufficient_variability(matrix, args.tolerance)
-    payload = {
-        "rank": report.rank,
-        "full_column_rank": report.full_column_rank,
-        "condition_number": None if report.condition_number == float("inf") else report.condition_number,
-        "singular_values": list(report.singular_values),
-        "tolerance": report.tolerance,
-        "flags": list(report.flags),
-    }
+    payload = asdict(check_sufficient_variability(matrix, args.tolerance))
+    # JSON has no infinity; a rank-0 report's condition number is null.
+    if payload["condition_number"] == float("inf"):
+        payload["condition_number"] = None
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -521,7 +511,7 @@ def _read_params_csv(path: str) -> np.ndarray:
 
 def _density_from_args(prefix: str, family: str, loc: float, scale: float) -> DensitySpec:
     try:
-        return DensitySpec(DensityFamily(family), loc, scale)
+        return DensitySpec(family, loc, scale)
     except ValueError as exc:
         raise ConfigError(f"{prefix}: {exc}")
 
@@ -592,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--test", choices=[m.value for m in TestMethod], default=TestMethod.GCM.value
     )
     p_disc.add_argument("--alpha", type=float, default=0.05)
-    p_disc.add_argument("--permutations", type=int, default=200)
     p_disc.add_argument("--out", default=None)
     p_disc.set_defaults(func=_cmd_discover)
 
@@ -654,7 +643,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

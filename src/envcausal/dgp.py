@@ -143,6 +143,7 @@ def sample_definetti_params(
     from ``rng``, so the two blocks cannot interleave: changing how many
     psi values are consumed leaves every theta untouched.
     """
+    structure = CausalStructure(structure)
     config.validate()
     cause_rng, mech_rng = rng.spawn(2)
     e = config.n_environments
@@ -208,6 +209,7 @@ def simulate_with_params(
     Lower half of :func:`simulate_dataset`; lets tests pin coefficients
     or nonlinearity in ways the sampling priors never would.
     """
+    structure = CausalStructure(structure)
     config.validate()
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (config.n_environments, 4):

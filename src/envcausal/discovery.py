@@ -41,7 +41,6 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import chi2
 
-from ._streams import mix64
 from .citest import (
     InsufficientSamples,
     TestMethod,
@@ -112,9 +111,8 @@ def discover_structure(
     dataset: MultiEnvDataset,
     test_method: TestMethod = TestMethod.GCM,
     alpha: float = 0.05,
-    *,
-    n_permutations: int = 200,
 ) -> DiscoveryDecision:
+    test_method = TestMethod(test_method)
     if dataset.n_environments < MIN_ENVIRONMENTS:
         raise InsufficientEnvironments(
             f"need at least {MIN_ENVIRONMENTS} environments, got {dataset.n_environments}"
@@ -128,13 +126,7 @@ def discover_structure(
         x2, y2 = x1[:, ::-1], y1[:, ::-1]
     else:
         (x1, y1), (x2, y2) = pairs[:, 0].T, pairs[:, 1].T
-    res_independent = marginal_independence_test(
-        x1,
-        y1,
-        test_method,
-        n_permutations=n_permutations,
-        seed=mix64(dataset.seed, 2),
-    )
+    res_independent = marginal_independence_test(x1, y1, test_method)
     linear_only = (
         test_method is TestMethod.GCM
         and bool(res_independent.components)
@@ -142,24 +134,10 @@ def discover_structure(
     )
     squares_only = test_method is TestMethod.GCM and not linear_only
     res_x_to_y = conditional_independence_test(
-        y1,
-        x2,
-        x1,
-        test_method,
-        n_permutations=n_permutations,
-        seed=mix64(dataset.seed, 0),
-        linear_only=linear_only,
-        squares_only=squares_only,
+        y1, x2, x1, test_method, linear_only=linear_only, squares_only=squares_only
     )
     res_y_to_x = conditional_independence_test(
-        x1,
-        y2,
-        y1,
-        test_method,
-        n_permutations=n_permutations,
-        seed=mix64(dataset.seed, 1),
-        linear_only=linear_only,
-        squares_only=squares_only,
+        x1, y2, y1, test_method, linear_only=linear_only, squares_only=squares_only
     )
     results = [
         ("x_to_y", res_x_to_y),

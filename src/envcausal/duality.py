@@ -68,6 +68,7 @@ class SourceFamily:
     scale: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "family", DensityFamily(self.family))
         if len(self.location) != len(self.scale) or not self.location:
             raise DimensionMismatch("location and scale must be non-empty and equally long")
         if any(s <= 0 for s in self.scale):
@@ -131,6 +132,7 @@ class MixingSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", MixingKind(self.kind))
         if self.d < 1:
             raise DimensionMismatch("mixing dimension must be at least 1")
 
@@ -187,6 +189,7 @@ class DualityConfig:
     test: TwoSampleMethod = TwoSampleMethod.KS_PER_COORDINATE
 
     def __post_init__(self):
+        object.__setattr__(self, "test", TwoSampleMethod(self.test))
         if not self.per_u:
             raise ValueError("per_u must list at least one target")
         for i, fam in enumerate(self.per_u):
@@ -255,6 +258,7 @@ def two_sample_test(
     labels and therefore materializes the pooled distance matrix; it is
     meant for moderate sample counts.
     """
+    method = TwoSampleMethod(method)
     ta = _as_sample_table("a", a)
     tb = _as_sample_table("b", b)
     if ta.shape[1] != tb.shape[1]:

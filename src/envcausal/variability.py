@@ -77,6 +77,7 @@ class DensitySpec:
     scale: float
 
     def __post_init__(self):
+        object.__setattr__(self, "family", DensityFamily(self.family))
         if not (math.isfinite(self.loc) and math.isfinite(self.scale)):
             raise ValueError("loc and scale must be finite")
         if self.scale <= 0:

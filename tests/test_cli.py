@@ -2,13 +2,18 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import envcausal
 from envcausal import cli
 from envcausal.cli import BenchConfig, main
 from envcausal.dgp import read_dataset, simulate_dataset, DGPConfig
@@ -245,6 +250,35 @@ def test_unknown_subcommand_is_a_usage_error():
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [["--test", "residual-perm"], ["--permutations", "10"]])
+def test_removed_discover_options_are_usage_errors(tmp_path, dgp_config_path, extra):
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)]) == 0
+    args = ["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")]
+    assert main(args + ["--out", str(tmp_path / "decision.json")]) == 0
+    assert main(args + extra) == 1
+
+
+def test_module_entry_runs_without_a_warning():
+    # The package imports cli, so running cli itself as a module would
+    # warn that it is already in sys.modules; the package's __main__ does not.
+    src = str(Path(envcausal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error", "-m", "envcausal", "discrepancy",
+            "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["holds_ae"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +554,7 @@ def _run_config(tmp_path, command, payload):
         (
             "benchmark",
             dict(_BENCH, test_method="t-test"),
-            "config.test_method: expected one of fisher-z, spearman-z, residual-perm, gcm, got 't-test'",
+            "config.test_method: expected one of fisher-z, spearman-z, gcm, got 't-test'",
         ),
         ("benchmark", dict(_BENCH, env_grid=[100, 100]), "env_grid must be strictly increasing"),
         ("duality", dict(_DUAL, f=[]), "config.f: expected an object"),
@@ -550,6 +584,11 @@ def _run_config(tmp_path, command, payload):
             "benchmark",
             dict(_BENCH, regimes=["iid", "cause_variability"], n_seeds=10**399),
             f"regimes x env_grid x n_seeds is {2 * 10**399} cells, over the limit of 1000000",
+        ),
+        (
+            "benchmark",
+            dict(_BENCH, test_method="residual-perm"),
+            "config.test_method: expected one of fisher-z, spearman-z, gcm, got 'residual-perm'",
         ),
     ],
 )

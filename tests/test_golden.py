@@ -66,7 +66,6 @@ GOLDEN = {
     "discover/fisher-z.json": "23b0f8bf73d79154974ae5e158f7a7faba2438e71467b61c80f3d1c532b12aa6",
     "discover/spearman-z.json": "060e77ca6b6c55642a76b1d0c49766a12dec80cd1d5b36479689114a32482335",
     "discover/cause_linear_gcm.json": "0de306005c65ba53d6a13fbca5a9121c55e3771bc3be0fde2a4f5c40d560559e",
-    "discover/residual-perm.json": "7c13affbfe8ec25aaf66a0ad3d539c61f1c371bf9e5f6beb5a0dd3f70dcea53f",
     "benchmark/results.csv": "157192404234e32b87ce2bd73875ea706a752616c7d78fb75f6bb7b77fccda36",
     "benchmark/results.summary.csv": "dc63692557e736eaae5ba258d9a731ff32eaf85044f698c89f3805680d9084cc",
     "duality/energy.json": "75c833d00c52c6432ae08d6a263025910354566c4957b419e899ef1a2eceab79",
@@ -91,7 +90,7 @@ def outputs(tmp_path_factory):
 
     (root / "discover").mkdir()
     full = root / "simulate" / "full"
-    for method in ("gcm", "fisher-z", "spearman-z", "residual-perm"):
+    for method in ("gcm", "fisher-z", "spearman-z"):
         _run(
             "discover",
             "--data", str(full / "data.csv"),
