@@ -161,11 +161,11 @@ def _mid_ranks(v: NDArray[np.float64]) -> NDArray[np.float64]:
     """1-based ranks of the raveled entries, ties given their mean rank.
 
     The same values as ``scipy.stats.rankdata`` without its array-API
-    dispatch: a stable sort, then each run of equal values gets the mean
-    of the ordinal ranks it spans, an exact half-integer.
+    dispatch: each run of equal values gets the mean of the ordinal ranks
+    it spans, an exact half-integer, whatever order the sort left it in.
     """
     flat = v.ravel()
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(flat)
     ordered = flat[order]
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     dense = np.cumsum(first)
@@ -189,32 +189,23 @@ def _uniform_scores(v: NDArray[np.float64]) -> NDArray[np.float64]:
 def _spline_basis(z: NDArray[np.float64]) -> NDArray[np.float64]:
     """Cubic truncated-power basis with knots at quantiles of z."""
     n_knots = min(_GCM_MAX_KNOTS, z.size // _GCM_ROWS_PER_KNOT)
-    knots = np.quantile(z, np.linspace(0.0, 1.0, n_knots + 2)[1:-1])
-    columns = [np.ones_like(z), z, z * z, z**3]
-    columns += [np.maximum(z - k, 0.0) ** 3 for k in knots]
-    return np.stack(columns, axis=1)
+    at = np.linspace(0.0, z.size - 1, n_knots + 2)[1:-1]  # np.quantile's linear rule, cheaper
+    knots = np.interp(at, np.arange(z.size), np.sort(z))
+    t = np.maximum(z[:, None] - knots, 0.0)
+    return np.column_stack((np.ones_like(z), z, z * z, z * z * z, t * t * t))
 
 
 def _residualize(features: NDArray[np.float64], basis: NDArray[np.float64]) -> NDArray[np.float64]:
     """Least-squares residuals of each feature column on the basis columns.
 
-    Modified Gram-Schmidt: a few vector operations per column, stable on
-    the nearly collinear truncated-power columns, and it skips a column
-    that earlier ones already span.
+    One LAPACK solve on the unit-norm columns, whose ``rcond`` skips the
+    directions that other columns span (duplicate knots); all-zero columns
+    (a knot at the top of a tied conditioner) are dropped before scaling.
     """
-    residuals = features.copy()
-    spanned: list[NDArray[np.float64]] = []
-    for column in basis.T:
-        q = column.copy()
-        for prev in spanned:
-            q -= prev * float(prev @ q)
-        size = math.sqrt(float(q @ q))
-        if size <= _DEGENERACY_EPS * math.sqrt(float(column @ column)):
-            continue
-        q /= size
-        spanned.append(q)
-        residuals -= np.outer(q, q @ residuals)
-    return residuals
+    norms = np.linalg.norm(basis, axis=0)
+    scaled = basis[:, norms > 0.0] / norms[norms > 0.0]
+    coef = np.linalg.lstsq(scaled, features, rcond=_DEGENERACY_EPS)[0]
+    return features - scaled @ coef
 
 
 def _gcm(

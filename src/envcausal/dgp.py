@@ -120,6 +120,14 @@ class DGPConfig:
     collapse_noise: bool = False
     coef_magnitude_range: tuple[float, float] = (0.5, 2.0)
 
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "regime", VariabilityRegime(self.regime))
+            if self.structure != "random":
+                object.__setattr__(self, "structure", CausalStructure(self.structure))
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
+
     def validate(self) -> None:
         if self.n_environments <= 0:
             raise InvalidConfig("n_environments must be positive")
@@ -130,8 +138,6 @@ class DGPConfig:
         lo, hi = self.coef_magnitude_range
         if not (0 < lo <= hi):
             raise InvalidConfig("coef_magnitude_range must satisfy 0 < low <= high")
-        if self.structure != "random" and not isinstance(self.structure, CausalStructure):
-            raise InvalidConfig("structure must be a CausalStructure or 'random'")
 
 
 def sample_definetti_params(
@@ -240,7 +246,6 @@ def simulate_with_params(
 
 
 def simulate_dataset(config: DGPConfig, seed: int) -> MultiEnvDataset:
-    config.validate()
     structure = _resolve_structure(config, seed)
     param_rng = substream(seed, ROLE_CAUSE_PARAMS, ROLE_MECH_PARAMS)
     params = sample_definetti_params(config, structure, param_rng)

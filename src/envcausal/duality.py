@@ -20,7 +20,6 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
-from scipy.stats import ks_2samp
 
 from ._streams import (
     ROLE_DUALITY_CAUSE,
@@ -265,6 +264,7 @@ def two_sample_test(
         raise DimensionMismatch("sample tables must share their dimension")
     d = ta.shape[1]
     if method is TwoSampleMethod.KS_PER_COORDINATE:
+        from scipy.stats import ks_2samp  # here: scipy.stats takes ~0.5 s to import
         if ta.shape[0] < _KS_MIN_SAMPLES or tb.shape[0] < _KS_MIN_SAMPLES:
             raise InsufficientSamples(
                 f"asymptotic KS needs at least {_KS_MIN_SAMPLES} samples per table"

@@ -1,5 +1,6 @@
 """Independence tests: closed-form cases, oracles, symmetry, calibration."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc, ndtr, ndtri
 
+from envcausal import citest
 from envcausal.citest import (
     FLAG_NUMERICAL_DEGENERACY,
     FLAG_ZERO_VARIANCE,
@@ -16,9 +18,13 @@ from envcausal.citest import (
     InsufficientSamples,
     TestMethod,
     _mid_ranks,
+    _normal_scores,
+    _residualize,
+    _spline_basis,
     conditional_independence_test,
     marginal_independence_test,
 )
+from envcausal.dgp import CausalStructure, DGPConfig, VariabilityRegime, simulate_with_params
 
 PARAMETRIC = [TestMethod.FISHER_Z, TestMethod.SPEARMAN_Z]
 ALL_METHODS = list(TestMethod)
@@ -509,3 +515,77 @@ def test_direct_p_value_functions_equal_scipy_stats_over_the_statistic_range():
         assert _same_bits(
             chdtrc(dof, np.maximum(wald, 0.0)), scipy.stats.chi2.sf(wald, dof)
         )
+
+
+# ---------------------------------------------------------------------------
+# The least-squares residualizer against the Gram-Schmidt loop it replaced.
+
+
+def _gram_schmidt_residuals(features, basis):
+    """Modified Gram-Schmidt over the basis columns, skipping a column
+    that the earlier ones already span."""
+    residuals = features.copy()
+    spanned = []
+    for column in basis.T:
+        q = column.copy()
+        for prev in spanned:
+            q -= prev * float(prev @ q)
+        size = math.sqrt(float(q @ q))
+        if size <= citest._DEGENERACY_EPS * math.sqrt(float(column @ column)):
+            continue
+        q /= size
+        spanned.append(q)
+        residuals -= np.outer(q, q @ residuals)
+    return residuals
+
+
+def _collapsed_noise_triple():
+    # Collapsed effect noise and one decreasing mechanism: y is a fixed
+    # function of x in every environment. The y_to_x test's arguments.
+    e = 100
+    cause = VariabilityRegime.CAUSE_VARIABILITY
+    config = DGPConfig(e, cause, CausalStructure.Y_TO_X, collapse_noise=True)
+    params = np.zeros((e, 4))
+    params[:, 0] = np.linspace(-1.0, 1.0, e)
+    params[:, 1:3] = 0.5, -0.8
+    pairs = simulate_with_params(config, CausalStructure.Y_TO_X, params, seed=1).samples
+    x1, y1 = pairs[..., 0], pairs[..., 1]
+    return x1, y1[:, ::-1], y1
+
+
+def _residualizer_cases():
+    rng = np.random.default_rng(29)
+    z = rng.standard_normal((400, 2))
+    yield "random", (z + rng.standard_normal((400, 2)), z * z + rng.standard_normal((400, 2)), z)
+    # Three values: knots coincide and the top knot's column is all zero.
+    z = rng.integers(3, size=(400, 2)).astype(float)
+    yield "three_valued", (z + rng.standard_normal((400, 2)), z - rng.standard_normal((400, 2)), z)
+    yield "minimum", tuple(rng.standard_normal((3, 20, 2)))
+    yield "collapsed_noise", _collapsed_noise_triple()
+
+
+RESIDUALIZER_CASES = dict(_residualizer_cases())
+
+
+@pytest.mark.parametrize("case", list(RESIDUALIZER_CASES))
+def test_least_squares_residuals_match_gram_schmidt(case, monkeypatch):
+    x, y, z = RESIDUALIZER_CASES[case]
+    sa, sb = _normal_scores(x).ravel(), _normal_scores(y).ravel()
+    features = np.stack([sa, sb, sa * sa, sb * sb], axis=1)
+    basis = _spline_basis(_normal_scores(z).ravel())
+    if case == "three_valued":
+        assert not np.all(np.linalg.norm(basis, axis=0) > 0.0)
+    reference = _gram_schmidt_residuals(features, basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = _residualize(features, basis)
+    np.testing.assert_allclose(residuals, reference, rtol=0.0, atol=1e-11)
+    for moments in ({}, {"linear_only": True}, {"squares_only": True}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = conditional_independence_test(x, y, z, TestMethod.GCM, **moments)
+        with monkeypatch.context() as patch:
+            patch.setattr(citest, "_residualize", _gram_schmidt_residuals)
+            expected = conditional_independence_test(x, y, z, TestMethod.GCM, **moments)
+        assert result.p_value == pytest.approx(expected.p_value, rel=0.0, abs=1e-11)
+        assert result.flags == expected.flags

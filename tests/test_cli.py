@@ -281,6 +281,32 @@ def test_module_entry_runs_without_a_warning():
     assert json.loads(proc.stdout)["holds_ae"] is True
 
 
+def test_import_and_discover_leave_scipy_stats_unimported(tmp_path, dgp_config_path):
+    # scipy.stats takes about half a second to import; only the KS
+    # duality test loads it.
+    data = str(tmp_path / "d.csv")
+    truth = str(tmp_path / "d.truth.json")
+    code = "\n".join([
+        "import sys",
+        "import envcausal",
+        f"assert envcausal.main(['simulate', '--config', {dgp_config_path!r}, '--seed', '1',"
+        f" '--out', {data!r}]) == 0",
+        f"assert envcausal.main(['discover', '--data', {data!r}, '--truth', {truth!r}]) == 0",
+        "print('scipy.stats' in sys.modules)",
+    ])
+    src = str(Path(envcausal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # ---------------------------------------------------------------------------
 # benchmark.
 

@@ -25,6 +25,7 @@ from envcausal.discovery import (
     LINEAR_GATE_LEVEL,
     DiscoveryDecision,
     InsufficientEnvironments,
+    _decide,
     build_cross_sample_pairs,
     discover_structure,
     random_baseline,
@@ -162,6 +163,28 @@ def test_shared_coupling_sign_gates_gcm_to_the_linear_pair():
     decision = discover_structure(flipping)
     assert not gated
     assert (decision.p_x_to_y, decision.p_y_to_x, decision.p_independent) == expected
+
+
+def test_directions_tied_up_to_rounding_decide_x_to_y():
+    # Collapsed effect noise and one decreasing linear mechanism: y is a
+    # fixed function of x in every environment, so the two conditional
+    # tests see mirror images and their p-values part only in the last
+    # bits (here p_y_to_x comes out the larger).
+    e = 100
+    config = DGPConfig(e, CAUSE, CausalStructure.Y_TO_X, collapse_noise=True)
+    params = np.zeros((e, 4))
+    params[:, 0] = np.linspace(-1.0, 1.0, e)
+    params[:, 1:3] = 0.5, -0.8
+    dataset = simulate_with_params(config, CausalStructure.Y_TO_X, params, seed=1)
+    decision = discover_structure(dataset)
+    assert decision.p_independent < decision.alpha
+    assert decision.p_x_to_y == pytest.approx(decision.p_y_to_x, rel=1e-11, abs=0.0)
+    assert decision.structure is CausalStructure.X_TO_Y
+    # The rule alone: a relative 1e-12 is a tie either way, 1e-6 is not.
+    for p, q in [(0.3, 0.3 * (1 + 1e-12)), (0.3 * (1 + 1e-12), 0.3)]:
+        assert _decide(p, q, 0.01, 0.05) is CausalStructure.X_TO_Y
+        assert _decide(p / 100, q / 100, 0.01, 0.05) is CausalStructure.X_TO_Y
+    assert _decide(0.3, 0.3 * (1 + 1e-6), 0.01, 0.05) is CausalStructure.Y_TO_X
 
 
 def test_directed_truth_recovery_rate_under_cause_variability():

@@ -33,6 +33,12 @@ _DATASET = simulate_dataset(_CONFIG, 3)
 _GAUSS = DensityFamily.GAUSSIAN
 
 
+def _simulated(regime=VariabilityRegime.FULL_EXCHANGEABLE, structure="random"):
+    dataset = simulate_dataset(DGPConfig(40, regime, structure), 3)
+    # The regime and truth as the truth sidecar writes them.
+    return dataset.samples, dataset.regime.value, dataset.truth.value
+
+
 def _duality(test):
     base = SourceFamily(_GAUSS, (0.0,), (1.0,))
     config = DualityConfig(MixingSpec(MixingKind.IDENTITY, 1), base, (base,), 60, seed=2, test=test)
@@ -68,6 +74,10 @@ CASES = {
         lambda s: sample_definetti_params(_CONFIG, s, np.random.default_rng(5)),
         CausalStructure.INDEPENDENT,
     ),
+    # A string regime reached the dataset unconverted; a string structure
+    # was refused.
+    "DGPConfig.regime": (lambda r: _simulated(regime=r), VariabilityRegime.CAUSE_VARIABILITY),
+    "DGPConfig.structure": (lambda s: _simulated(structure=s), CausalStructure.Y_TO_X),
 }
 
 

@@ -62,11 +62,11 @@ GOLDEN = {
     "simulate/full/data.truth.json": "ae3bfc120f129c51d167cdfe6cf39d7ede7d8fa2c0484b680713233488a18e77",
     "simulate/collapsed_iid/data.csv": "73865e3d7cf2069a046227f598e517bb76a82e74bc864d7d95fefcdd86d69f35",
     "simulate/collapsed_iid/data.truth.json": "1b7941a0bcebc1d09aebbd4415275a75f5f0817ae9659b05fd75076a97ae91e5",
-    "discover/gcm.json": "62ca9fa882875ce980d3a999bad5808d0d3052d79cafedb976cdab8c6c6764a3",
+    "discover/gcm.json": "364dc5bf8ad1b96e2e58d444c7d5ce440610d301cb97020d8009c9c9eacf69e3",
     "discover/fisher-z.json": "23b0f8bf73d79154974ae5e158f7a7faba2438e71467b61c80f3d1c532b12aa6",
     "discover/spearman-z.json": "060e77ca6b6c55642a76b1d0c49766a12dec80cd1d5b36479689114a32482335",
-    "discover/cause_linear_gcm.json": "0de306005c65ba53d6a13fbca5a9121c55e3771bc3be0fde2a4f5c40d560559e",
-    "benchmark/results.csv": "157192404234e32b87ce2bd73875ea706a752616c7d78fb75f6bb7b77fccda36",
+    "discover/cause_linear_gcm.json": "30686333047dd771ed087854054c04f74ccf3e38fb66f8edc576fbd6755bb963",
+    "benchmark/results.csv": "2c063cff3163cd0d4ffeecd7367e9a6faba9dacfdaf00006d71296a3b03b1bdc",
     "benchmark/results.summary.csv": "dc63692557e736eaae5ba258d9a731ff32eaf85044f698c89f3805680d9084cc",
     "duality/energy.json": "75c833d00c52c6432ae08d6a263025910354566c4957b419e899ef1a2eceab79",
     "variability/report.json": "fad804367709695a783a829ca29784f1da5fa3b9bc2f20299f2fb8afcbc597bf",
