@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._streams import ROLE_BASELINE, mix64, substream
-from .citest import TestMethod
 from .dgp import (
     CausalStructure,
     DataFormatError,
@@ -103,7 +102,6 @@ class BenchConfig:
     )
     samples_per_env: int = 2
     alpha: float = 0.05
-    test_method: TestMethod = TestMethod.GCM
     master_seed: int = 0
     include_random_baseline: bool = True
 
@@ -165,7 +163,7 @@ def _bench_cell(task: tuple[BenchConfig, VariabilityRegime, int, int]) -> BenchC
             samples_per_env=config.samples_per_env,
         )
         dataset = simulate_dataset(dgp_config, cell_seed)
-        decision = discover_structure(dataset, config.test_method, config.alpha)
+        decision = discover_structure(dataset, config.alpha)
         if config.include_random_baseline:
             baseline = random_baseline(substream(cell_seed, ROLE_BASELINE))
             baseline_correct = baseline is dataset.truth
@@ -385,7 +383,6 @@ _BENCH_CONFIG = _object(
         "regimes": _list(_enum(VariabilityRegime)),
         "samples_per_env": _as_int,
         "alpha": _as_number,
-        "test_method": _enum(TestMethod),
         "master_seed": _as_int,
         "include_random_baseline": _as_bool,
     },
@@ -447,7 +444,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_discover(args) -> int:
     dataset = read_dataset(args.data, args.truth)
-    decision = discover_structure(dataset, args.test, args.alpha)
+    decision = discover_structure(dataset, args.alpha)
     _emit(json.dumps(decision.to_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -578,9 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc = sub.add_parser("discover", help="decide the structure of a stored dataset")
     p_disc.add_argument("--data", required=True, help="dataset CSV")
     p_disc.add_argument("--truth", required=True, help="truth sidecar JSON")
-    p_disc.add_argument(
-        "--test", choices=[m.value for m in TestMethod], default=TestMethod.GCM.value
-    )
     p_disc.add_argument("--alpha", type=float, default=0.05)
     p_disc.add_argument("--out", default=None)
     p_disc.set_defaults(func=_cmd_discover)

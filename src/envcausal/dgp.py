@@ -133,11 +133,12 @@ class DGPConfig:
             raise InvalidConfig("n_environments must be positive")
         if self.samples_per_env <= 0:
             raise InvalidConfig("samples_per_env must be positive")
-        if self.noise_scale <= 0:
-            raise InvalidConfig("noise_scale must be positive")
+        # Written so that NaN fails the comparisons too.
+        if not 0 < self.noise_scale < math.inf:
+            raise InvalidConfig("noise_scale must be positive and finite")
         lo, hi = self.coef_magnitude_range
-        if not (0 < lo <= hi):
-            raise InvalidConfig("coef_magnitude_range must satisfy 0 < low <= high")
+        if not 0 < lo <= hi < math.inf:
+            raise InvalidConfig("coef_magnitude_range must satisfy 0 < low <= high < inf")
 
 
 def sample_definetti_params(

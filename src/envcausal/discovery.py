@@ -18,9 +18,9 @@ by the significance level alpha:
     3. otherwise the direction with the larger conditional p-value
        (x_to_y on a tie, to within a relative TIE_RTOL).
 
-The gcm test pools both orders of an environment's two samples, (1, 2)
-and (2, 1), and takes its variance over environments; the other tests see
-the first order only. Its marginal test runs first. When the linear
+The tests (the generalised covariance measure of ``citest``) pool both
+orders of an environment's two samples, (1, 2) and (2, 1), and take their
+variance over environments. The marginal test runs first. When the linear
 moment pair of x1 and y1 alone is significant at LINEAR_GATE_LEVEL, the
 coupling keeps its sign across environments (the mechanism is shared),
 the reverse direction's dependence runs through that linear moment, and
@@ -43,7 +43,6 @@ from scipy.special import chdtri
 
 from .citest import (
     InsufficientSamples,
-    TestMethod,
     conditional_independence_test,
     marginal_independence_test,
 )
@@ -51,8 +50,8 @@ from .dgp import CausalStructure, MultiEnvDataset
 
 MIN_ENVIRONMENTS = 20
 
-# Significance level of the marginal gcm test's linear component above
-# which the conditional gcm tests keep the linear moment pair alone. It is
+# Significance level of the marginal test's linear component above
+# which the conditional tests keep the linear moment pair alone. It is
 # far below alpha: signs drawn afresh per environment leave a residual
 # linear dependence of a few chi-squared units, a shared sign gives tens
 # to hundreds at 100 to 500 environments.
@@ -110,12 +109,7 @@ def _decide(
     return CausalStructure.X_TO_Y if picks_x_to_y else CausalStructure.Y_TO_X
 
 
-def discover_structure(
-    dataset: MultiEnvDataset,
-    test_method: TestMethod = TestMethod.GCM,
-    alpha: float = 0.05,
-) -> DiscoveryDecision:
-    test_method = TestMethod(test_method)
+def discover_structure(dataset: MultiEnvDataset, alpha: float = 0.05) -> DiscoveryDecision:
     if dataset.n_environments < MIN_ENVIRONMENTS:
         raise InsufficientEnvironments(
             f"need at least {MIN_ENVIRONMENTS} environments, got {dataset.n_environments}"
@@ -123,24 +117,17 @@ def discover_structure(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     pairs = build_cross_sample_pairs(dataset)
-    if test_method is TestMethod.GCM:
-        # Row e holds environment e's samples in both orders: (1, 2), (2, 1).
-        x1, y1 = pairs[..., 0], pairs[..., 1]
-        x2, y2 = x1[:, ::-1], y1[:, ::-1]
-    else:
-        (x1, y1), (x2, y2) = pairs[:, 0].T, pairs[:, 1].T
-    res_independent = marginal_independence_test(x1, y1, test_method)
-    linear_only = (
-        test_method is TestMethod.GCM
-        and bool(res_independent.components)
-        and res_independent.components[0] > _LINEAR_GATE
-    )
-    squares_only = test_method is TestMethod.GCM and not linear_only
+    # Row e holds environment e's samples in both orders: (1, 2), (2, 1).
+    x1, y1 = pairs[..., 0], pairs[..., 1]
+    x2, y2 = x1[:, ::-1], y1[:, ::-1]
+    res_independent = marginal_independence_test(x1, y1)
+    linear_only = bool(res_independent.components) and res_independent.components[0] > _LINEAR_GATE
+    squares_only = not linear_only
     res_x_to_y = conditional_independence_test(
-        y1, x2, x1, test_method, linear_only=linear_only, squares_only=squares_only
+        y1, x2, x1, linear_only=linear_only, squares_only=squares_only
     )
     res_y_to_x = conditional_independence_test(
-        x1, y2, y1, test_method, linear_only=linear_only, squares_only=squares_only
+        x1, y2, y1, linear_only=linear_only, squares_only=squares_only
     )
     results = [
         ("x_to_y", res_x_to_y),

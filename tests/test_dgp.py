@@ -50,6 +50,9 @@ def _config(regime, structure, e=50, n=2, **kw):
         {"coef_magnitude_range": (0.0, 2.0)},
         {"coef_magnitude_range": (2.0, 0.5)},
         {"structure": "sideways"},
+        {"noise_scale": float("nan")},
+        {"noise_scale": float("inf")},
+        {"coef_magnitude_range": (0.5, float("inf"))},
     ],
 )
 def test_invalid_configs_rejected(kwargs):

@@ -9,7 +9,6 @@ from scipy.stats import chi2
 
 from envcausal.citest import (
     InsufficientSamples,
-    TestMethod,
     conditional_independence_test,
     marginal_independence_test,
 )
@@ -138,11 +137,11 @@ def _gcm_p_values(dataset, linear_only):
     pairs = build_cross_sample_pairs(dataset)
     x1, y1 = pairs[..., 0], pairs[..., 1]
     x2, y2 = x1[:, ::-1], y1[:, ::-1]
-    marginal = marginal_independence_test(x1, y1, TestMethod.GCM)
+    marginal = marginal_independence_test(x1, y1)
     gated = marginal.components[0] > chi2.isf(LINEAR_GATE_LEVEL, 1)
     moments = {"linear_only": linear_only, "squares_only": not linear_only}
-    p_x_to_y = conditional_independence_test(y1, x2, x1, TestMethod.GCM, **moments)
-    p_y_to_x = conditional_independence_test(x1, y2, y1, TestMethod.GCM, **moments)
+    p_x_to_y = conditional_independence_test(y1, x2, x1, **moments)
+    p_y_to_x = conditional_independence_test(x1, y2, y1, **moments)
     return gated, (p_x_to_y.p_value, p_y_to_x.p_value, marginal.p_value)
 
 
@@ -241,14 +240,13 @@ def test_to_dict_round_trips_the_reported_fields():
 # Symmetries.
 
 
-@pytest.mark.parametrize("method", [TestMethod.FISHER_Z, TestMethod.SPEARMAN_Z, TestMethod.GCM])
-def test_label_symmetry_swaps_direction_and_p_values(method):
+def test_label_symmetry_swaps_direction_and_p_values():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=120, seed=3)
     swapped = _with_samples(
         dataset, dataset.samples[..., ::-1].copy(), truth=CausalStructure.Y_TO_X
     )
-    original = discover_structure(dataset, method)
-    mirrored = discover_structure(swapped, method)
+    original = discover_structure(dataset)
+    mirrored = discover_structure(swapped)
     assert mirrored.p_x_to_y == original.p_y_to_x
     assert mirrored.p_y_to_x == original.p_x_to_y
     mapping = {

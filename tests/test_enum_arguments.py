@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from envcausal.citest import TestMethod, conditional_independence_test, marginal_independence_test
 from envcausal.dgp import (
     CausalStructure,
     DGPConfig,
@@ -12,7 +11,6 @@ from envcausal.dgp import (
     simulate_dataset,
     simulate_with_params,
 )
-from envcausal.discovery import discover_structure
 from envcausal.duality import (
     DualityConfig,
     MixingKind,
@@ -49,12 +47,6 @@ def _duality(test):
 # plain value is also tried. Each member is one whose string, compared by
 # identity, would take another branch and give another result.
 CASES = {
-    "discover_structure": (lambda m: discover_structure(_DATASET, m), TestMethod.GCM),
-    "marginal_independence_test": (lambda m: marginal_independence_test(_X, _Y, m), TestMethod.GCM),
-    "conditional_independence_test": (
-        lambda m: conditional_independence_test(_X, _Y, _Z, m),
-        TestMethod.SPEARMAN_Z,
-    ),
     "two_sample_test": (
         lambda m: two_sample_test(_A, _B, m),
         TwoSampleMethod.KS_PER_COORDINATE,

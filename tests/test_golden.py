@@ -1,8 +1,8 @@
 """Byte-identity guard: sha256 digests of fixed command-line outputs.
 
 Each digest pins the exact bytes one command writes for a fixed input:
-the simulated CSV and truth sidecar, the decision JSON of every test
-method, the gcm decision on a dataset that takes the linear-only path,
+the simulated CSV and truth sidecar, the decision JSON of that dataset,
+the decision on a dataset that takes the linear-only gcm path,
 the benchmark's results and summary tables, the duality report of the
 energy permutation test, the variability report of a parameter table and
 the discrepancy report of two shifted Laplace densities. A refactor that
@@ -63,8 +63,6 @@ GOLDEN = {
     "simulate/collapsed_iid/data.csv": "73865e3d7cf2069a046227f598e517bb76a82e74bc864d7d95fefcdd86d69f35",
     "simulate/collapsed_iid/data.truth.json": "1b7941a0bcebc1d09aebbd4415275a75f5f0817ae9659b05fd75076a97ae91e5",
     "discover/gcm.json": "364dc5bf8ad1b96e2e58d444c7d5ce440610d301cb97020d8009c9c9eacf69e3",
-    "discover/fisher-z.json": "23b0f8bf73d79154974ae5e158f7a7faba2438e71467b61c80f3d1c532b12aa6",
-    "discover/spearman-z.json": "060e77ca6b6c55642a76b1d0c49766a12dec80cd1d5b36479689114a32482335",
     "discover/cause_linear_gcm.json": "30686333047dd771ed087854054c04f74ccf3e38fb66f8edc576fbd6755bb963",
     "benchmark/results.csv": "2c063cff3163cd0d4ffeecd7367e9a6faba9dacfdaf00006d71296a3b03b1bdc",
     "benchmark/results.summary.csv": "dc63692557e736eaae5ba258d9a731ff32eaf85044f698c89f3805680d9084cc",
@@ -90,14 +88,12 @@ def outputs(tmp_path_factory):
 
     (root / "discover").mkdir()
     full = root / "simulate" / "full"
-    for method in ("gcm", "fisher-z", "spearman-z"):
-        _run(
-            "discover",
-            "--data", str(full / "data.csv"),
-            "--truth", str(full / "data.truth.json"),
-            "--test", method,
-            "--out", str(root / "discover" / f"{method}.json"),
-        )
+    _run(
+        "discover",
+        "--data", str(full / "data.csv"),
+        "--truth", str(full / "data.truth.json"),
+        "--out", str(root / "discover" / "gcm.json"),
+    )
 
     cause = root / "simulate" / "cause_linear"
     _run(
