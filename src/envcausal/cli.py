@@ -20,20 +20,21 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._config import InvalidConfig, convert_fields, read_object
 from ._streams import ROLE_BASELINE, mix64, substream
 from .dgp import (
     CausalStructure,
     DataFormatError,
     DGPConfig,
-    InvalidConfig,
     VariabilityRegime,
     read_csv_table,
     read_dataset,
@@ -42,14 +43,7 @@ from .dgp import (
     write_truth_json,
 )
 from .discovery import discover_structure, random_baseline
-from .duality import (
-    DualityConfig,
-    MixingKind,
-    MixingSpec,
-    SourceFamily,
-    TwoSampleMethod,
-    verify_duality,
-)
+from .duality import DualityConfig, verify_duality
 from .variability import (
     DensityFamily,
     DensitySpec,
@@ -83,10 +77,6 @@ SUMMARY_HEADER = "regime,n_envs,accuracy_mean,accuracy_std,baseline_accuracy,n_c
 _MAX_BENCH_CELLS = 1_000_000
 
 
-class ConfigError(ValueError):
-    """A configuration file failed validation; message names the JSON path."""
-
-
 # ---------------------------------------------------------------------------
 # Benchmark harness.
 
@@ -105,7 +95,8 @@ class BenchConfig:
     master_seed: int = 0
     include_random_baseline: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        convert_fields(self)
         if not self.env_grid or any(e <= 0 for e in self.env_grid):
             raise InvalidConfig("env_grid must be a non-empty sequence of positive integers")
         if any(b <= a for a, b in zip(self.env_grid, self.env_grid[1:])):
@@ -156,12 +147,7 @@ def _bench_cell(task: tuple[BenchConfig, VariabilityRegime, int, int]) -> BenchC
     config, regime, n_envs, seed_idx = task
     cell_seed = mix64(config.master_seed, _REGIME_CODES[regime], n_envs, seed_idx)
     try:
-        dgp_config = DGPConfig(
-            n_environments=n_envs,
-            regime=regime,
-            structure="random",
-            samples_per_env=config.samples_per_env,
-        )
+        dgp_config = DGPConfig(n_envs, regime, "random", samples_per_env=config.samples_per_env)
         dataset = simulate_dataset(dgp_config, cell_seed)
         decision = discover_structure(dataset, config.alpha)
         if config.include_random_baseline:
@@ -194,7 +180,6 @@ def run_benchmark(config: BenchConfig, jobs: int = 1) -> tuple[list[BenchCell], 
     Output order is fixed by the task list, so parallel execution changes
     nothing downstream.
     """
-    config.validate()
     if jobs < 1:
         raise InvalidConfig("jobs must be at least 1")
     tasks = [
@@ -203,11 +188,13 @@ def run_benchmark(config: BenchConfig, jobs: int = 1) -> tuple[list[BenchCell], 
         for n_envs in config.env_grid
         for seed_idx in range(config.n_seeds)
     ]
-    if jobs == 1:
+    # A pool starts all its workers at the first submit; more than cells or cores only cost memory.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         cells = [_bench_cell(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_bench_cell, tasks, chunksize=chunk))
 
     summary: list[SummaryRow] = []
@@ -292,138 +279,20 @@ def summary_csv_text(rows: Sequence[SummaryRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON configuration parsing with pathized error messages. A converter
-# takes (value, path) and returns the typed value or raises ConfigError
-# naming the JSON path; each config is one table of converters.
+# Subcommands.
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    # json reads NaN and Infinity, and an integer can exceed the float range.
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path}: expected a finite number")
-    return float(value)
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false")
-    return value
-
-
-def _enum(enum_cls, also: tuple = ()):
-    """Converter to a member of ``enum_cls``; values in ``also`` pass unchanged."""
-
-    def convert(value, path: str):
-        if value in also:
-            return value
-        try:
-            return enum_cls(value)
-        except ValueError:
-            valid = ", ".join(m.value for m in enum_cls)
-            raise ConfigError(f"{path}: expected one of {valid}, got {value!r}")
-
-    return convert
-
-
-def _list(item, expected: str = "a list", length: Optional[int] = None):
-    """Converter of a JSON list to a tuple of ``item``-converted values."""
-
-    def convert(value, path: str) -> tuple:
-        if not isinstance(value, list) or length not in (None, len(value)):
-            raise ConfigError(f"{path}: expected {expected}")
-        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-    return convert
-
-
-def _object(cls, schema: dict):
-    """Converter of a JSON object to ``cls(**converted)``. The keys are those
-    of ``schema``, converted in its order; a field of ``cls`` without a
-    default is required, and an absent optional key keeps the default."""
-    required = {f.name for f in fields(cls) if f.default is MISSING}
-
-    def convert(value, path: str):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected an object")
-        for key in sorted(set(value) - set(schema)):
-            raise ConfigError(f"{path}.{key}: unknown key")
-        for key in sorted(required - set(value)):
-            raise ConfigError(f"{path}.{key}: missing required key")
-        return cls(**{k: conv(value[k], f"{path}.{k}") for k, conv in schema.items() if k in value})
-
-    return convert
-
-
-_DGP_CONFIG = _object(
-    DGPConfig,
-    {
-        "structure": _enum(CausalStructure, also=("random",)),
-        "coef_magnitude_range": _list(_as_number, "[low, high]", length=2),
-        "n_environments": _as_int,
-        "regime": _enum(VariabilityRegime),
-        "samples_per_env": _as_int,
-        "noise_scale": _as_number,
-        "collapse_noise": _as_bool,
-    },
-)
-
-_BENCH_CONFIG = _object(
-    BenchConfig,
-    {
-        "env_grid": _list(_as_int),
-        "n_seeds": _as_int,
-        "regimes": _list(_enum(VariabilityRegime)),
-        "samples_per_env": _as_int,
-        "alpha": _as_number,
-        "master_seed": _as_int,
-        "include_random_baseline": _as_bool,
-    },
-)
-
-_SOURCE_FAMILY = _object(
-    SourceFamily,
-    {
-        "location": _list(_as_number, "a list of numbers"),
-        "scale": _list(_as_number, "a list of numbers"),
-        "family": _enum(DensityFamily),
-    },
-)
-
-_DUALITY_CONFIG = _object(
-    DualityConfig,
-    {
-        "f": _object(MixingSpec, {"kind": _enum(MixingKind), "d": _as_int, "seed": _as_int}),
-        "per_u": _list(_SOURCE_FAMILY),
-        "base": _SOURCE_FAMILY,
-        "n_samples": _as_int,
-        "seed": _as_int,
-        "test": _enum(TwoSampleMethod),
-    },
-)
-
-
-def _load_config(path: str, schema):
+def _load_config(path: str, cls):
+    """The config dataclass ``cls`` read from a JSON file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
+        raise InvalidConfig(f"cannot read {path}: {exc}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}")
-    return schema(obj, "config")
-
-
-# ---------------------------------------------------------------------------
-# Subcommands.
+        raise InvalidConfig(f"{path}: invalid JSON: {exc}")
+    return read_object(cls, obj, "config")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -434,7 +303,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, _DGP_CONFIG)
+    config = _load_config(args.config, DGPConfig)
     dataset = simulate_dataset(config, args.seed)
     out = Path(args.out)
     write_dataset_csv(dataset, out)
@@ -450,7 +319,7 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = BenchConfig() if args.config is None else _load_config(args.config, _BENCH_CONFIG)
+    config = BenchConfig() if args.config is None else _load_config(args.config, BenchConfig)
     cells, summary = run_benchmark(config, jobs=args.jobs)
     results_text = results_csv_text(cells)
     summary_text = summary_csv_text(summary)
@@ -510,7 +379,7 @@ def _density_from_args(prefix: str, family: str, loc: float, scale: float) -> De
     try:
         return DensitySpec(family, loc, scale)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}")
+        raise InvalidConfig(f"{prefix}: {exc}")
 
 
 def _cmd_discrepancy(args) -> int:
@@ -519,7 +388,7 @@ def _cmd_discrepancy(args) -> int:
         "--pt-family/--pt-loc/--pt-scale", args.pt_family, args.pt_loc, args.pt_scale
     )
     if (args.lo is None) != (args.hi is None):
-        raise ConfigError("--lo and --hi must be given together")
+        raise InvalidConfig("--lo and --hi must be given together")
     interval = (args.lo, args.hi) if args.lo is not None else default_discrepancy_interval(p, pt)
     query = DiscrepancyQuery(
         density_p=p,
@@ -541,7 +410,7 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_duality(args) -> int:
-    report = verify_duality(_load_config(args.config, _DUALITY_CONFIG), level=args.level)
+    report = verify_duality(_load_config(args.config, DualityConfig), level=args.level)
     _emit(json.dumps(asdict(report), indent=2) + "\n", args.out)
     return EXIT_OK
 

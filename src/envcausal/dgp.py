@@ -32,6 +32,7 @@ from typing import Callable, Literal, Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from ._config import InvalidConfig, as_bool, as_enum, as_float, as_int, convert_fields
 from ._streams import (
     ROLE_CAUSE_NOISE,
     ROLE_CAUSE_PARAMS,
@@ -56,10 +57,6 @@ class VariabilityRegime(str, Enum):
     CAUSE_VARIABILITY = "cause_variability"
     MECHANISM_VARIABILITY = "mechanism_variability"
     IID = "iid"
-
-
-class InvalidConfig(ValueError):
-    pass
 
 
 class DegenerateDensity(ValueError):
@@ -121,23 +118,15 @@ class DGPConfig:
     coef_magnitude_range: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "regime", VariabilityRegime(self.regime))
-            if self.structure != "random":
-                object.__setattr__(self, "structure", CausalStructure(self.structure))
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from None
-
-    def validate(self) -> None:
+        convert_fields(self)
         if self.n_environments <= 0:
             raise InvalidConfig("n_environments must be positive")
         if self.samples_per_env <= 0:
             raise InvalidConfig("samples_per_env must be positive")
-        # Written so that NaN fails the comparisons too.
-        if not 0 < self.noise_scale < math.inf:
+        if self.noise_scale <= 0:
             raise InvalidConfig("noise_scale must be positive and finite")
         lo, hi = self.coef_magnitude_range
-        if not 0 < lo <= hi < math.inf:
+        if not 0 < lo <= hi:
             raise InvalidConfig("coef_magnitude_range must satisfy 0 < low <= high < inf")
 
 
@@ -151,7 +140,6 @@ def sample_definetti_params(
     psi values are consumed leaves every theta untouched.
     """
     structure = CausalStructure(structure)
-    config.validate()
     cause_rng, mech_rng = rng.spawn(2)
     e = config.n_environments
     regime = config.regime
@@ -217,7 +205,6 @@ def simulate_with_params(
     or nonlinearity in ways the sampling priors never would.
     """
     structure = CausalStructure(structure)
-    config.validate()
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (config.n_environments, 4):
         raise InvalidConfig("params must have shape (n_environments, 4)")
@@ -410,6 +397,18 @@ def read_environments_csv(path: str | Path) -> NDArray[np.float64]:
     return samples
 
 
+def _param_rows(params) -> list[tuple[float, float, float, bool]]:
+    rows = []
+    for i, p in enumerate(params):
+        try:
+            row = as_float(p["theta"], "theta"), as_float(p["psi_loc"], "psi_loc")
+            row += as_float(p["psi_coef"], "psi_coef"), as_bool(p["psi_nonlinear"], "psi_nonlinear")
+            rows.append(row)
+        except InvalidConfig as exc:
+            raise InvalidConfig(exc.reason, f"params[{i}].{exc.path}") from None
+    return rows
+
+
 def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDataset:
     samples = read_environments_csv(csv_path)
     try:
@@ -417,19 +416,14 @@ def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDatase
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"truth sidecar is not valid JSON: {exc}")
     try:
-        rows = [
-            (float(p["theta"]), float(p["psi_loc"]), float(p["psi_coef"]), bool(p["psi_nonlinear"]))
-            for p in payload["params"]
-        ]
         return MultiEnvDataset(
             samples=samples,
-            truth=CausalStructure(payload["structure"]),
-            regime=VariabilityRegime(payload["regime"]),
-            params=np.array(rows, dtype=np.float64),
-            seed=int(payload["seed"]),
-            noise_scale=float(payload.get("noise_scale", 1.0)),
-            collapse_noise=bool(payload.get("collapse_noise", False)),
+            truth=as_enum(CausalStructure)(payload["structure"], "structure"),
+            regime=as_enum(VariabilityRegime)(payload["regime"], "regime"),
+            params=np.array(_param_rows(payload["params"]), dtype=np.float64),
+            seed=as_int(payload["seed"], "seed"),
+            noise_scale=as_float(payload.get("noise_scale", 1.0), "noise_scale"),
+            collapse_noise=as_bool(payload.get("collapse_noise", False), "collapse_noise"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an infinite seed, or an integer too large for a float.
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"truth sidecar malformed: {exc}")

@@ -21,6 +21,7 @@ from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
+from ._config import convert_fields
 from ._streams import (
     ROLE_DUALITY_CAUSE,
     ROLE_DUALITY_MECH,
@@ -67,7 +68,7 @@ class SourceFamily:
     scale: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "family", DensityFamily(self.family))
+        convert_fields(self)
         if len(self.location) != len(self.scale) or not self.location:
             raise DimensionMismatch("location and scale must be non-empty and equally long")
         if any(s <= 0 for s in self.scale):
@@ -131,7 +132,7 @@ class MixingSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", MixingKind(self.kind))
+        convert_fields(self)
         if self.d < 1:
             raise DimensionMismatch("mixing dimension must be at least 1")
 
@@ -188,7 +189,7 @@ class DualityConfig:
     test: TwoSampleMethod = TwoSampleMethod.KS_PER_COORDINATE
 
     def __post_init__(self):
-        object.__setattr__(self, "test", TwoSampleMethod(self.test))
+        convert_fields(self)
         if not self.per_u:
             raise ValueError("per_u must list at least one target")
         for i, fam in enumerate(self.per_u):

@@ -19,6 +19,8 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
+from ._config import convert_fields
+
 # exp(x) underflows to exactly 0.0 below roughly -745.
 _LOG_UNDERFLOW = -745.0
 
@@ -77,9 +79,7 @@ class DensitySpec:
     scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "family", DensityFamily(self.family))
-        if not (math.isfinite(self.loc) and math.isfinite(self.scale)):
-            raise ValueError("loc and scale must be finite")
+        convert_fields(self)
         if self.scale <= 0:
             raise ValueError("scale must be strictly positive")
 
@@ -100,12 +100,13 @@ class DiscrepancyQuery:
     zero_tolerance: float = 1e-6
 
     def __post_init__(self):
+        convert_fields(self)
         lo, hi = self.interval
-        if not -math.inf < lo < hi < math.inf:
+        if not lo < hi:
             raise ValueError("interval must be finite with lo < hi")
         if self.grid_points < 101:
             raise ValueError("grid_points must be at least 101")
-        if not (0 < self.derivative_step < math.inf and 0 < self.zero_tolerance < math.inf):
+        if not (self.derivative_step > 0 and self.zero_tolerance > 0):
             raise ValueError("derivative_step and zero_tolerance must be positive and finite")
 
 

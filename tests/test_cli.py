@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 import envcausal
 from envcausal import cli
+from envcausal._config import read_object
 from envcausal.cli import BenchConfig, main
 from envcausal.dgp import read_dataset, simulate_dataset, DGPConfig
-from envcausal.duality import DualityConfig
-from envcausal.dgp import CausalStructure, VariabilityRegime
+from envcausal.dgp import CausalStructure, InvalidConfig, VariabilityRegime
+from envcausal.duality import DualityConfig, MixingSpec, SourceFamily
+from envcausal.variability import DensitySpec, DiscrepancyQuery
 
 
 def _write_json(path, payload):
@@ -138,6 +140,32 @@ def test_discover_rejects_a_non_finite_truth_seed(tmp_path, dgp_config_path, cap
     code = main(["discover", "--data", str(data), "--truth", str(truth)])
     assert code == 2
     assert "truth sidecar malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "garble, message",
+    [
+        (lambda payload: dict(payload, seed=1.5), "seed: expected an integer"),
+        (lambda payload: dict(payload, noise_scale=float("nan")), "noise_scale: expected a finite number"),
+        (
+            lambda payload: dict(
+                payload,
+                params=[dict(payload["params"][0], psi_nonlinear="false")] + payload["params"][1:],
+            ),
+            "params[0].psi_nonlinear: expected true or false",
+        ),
+    ],
+    ids=["fractional-seed", "nan-noise-scale", "string-flag"],
+)
+def test_discover_names_a_sidecar_field_of_the_wrong_type(tmp_path, dgp_config_path, capsys, garble, message):
+    # These used to truncate the seed to 1, read "false" as true, and carry
+    # a NaN noise scale into the dataset, with exit 0.
+    data = tmp_path / "data.csv"
+    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
+    truth = tmp_path / "data.truth.json"
+    truth.write_text(json.dumps(garble(json.loads(truth.read_text()))))
+    assert main(["discover", "--data", str(data), "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err == f"error: truth sidecar malformed: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -350,6 +378,36 @@ def test_benchmark_parallel_output_is_byte_identical(tmp_path):
     assert (
         tmp_path / "serial.summary.csv"
     ).read_bytes() == (tmp_path / "parallel.summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n_seeds, jobs, cores, workers",
+    [(3, 100_000, 4, 3), (8, 100_000, 4, 4), (8, 2, 4, 2), (8, 100_000, None, None), (8, 1, 4, None)],
+)
+def test_benchmark_workers_are_bounded_by_cells_and_cores(monkeypatch, n_seeds, jobs, cores, workers):
+    # The pool runs in this process and records its size; None means the
+    # cells ran serially without one.
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    config = BenchConfig(env_grid=(20,), n_seeds=n_seeds, regimes=("iid",))
+    cells, _ = cli.run_benchmark(config, jobs=jobs)
+    assert started == ([] if workers is None else [workers])
+    assert cli.results_csv_text(cells) == cli.results_csv_text(cli.run_benchmark(config)[0])
 
 
 def test_single_cell_benchmark_has_zero_std(tmp_path):
@@ -697,7 +755,6 @@ def test_discrepancy_names_a_log_density_overflow(capsys, setting):
 # Every key of each config is present, so each one can be garbled.
 _READERS = [
     (
-        cli._DGP_CONFIG,
         DGPConfig,
         dict(
             _SIM,
@@ -708,7 +765,6 @@ _READERS = [
         ),
     ),
     (
-        cli._BENCH_CONFIG,
         BenchConfig,
         dict(
             _BENCH,
@@ -719,7 +775,6 @@ _READERS = [
         ),
     ),
     (
-        cli._DUALITY_CONFIG,
         DualityConfig,
         dict(_DUAL, f={"kind": "triangular-affine-tanh", "d": 1, "seed": 0}, test="energy-permutation"),
     ),
@@ -738,15 +793,99 @@ def _objects(value):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_config_readers_return_their_type_or_raise_a_value_error(data):
-    # The readers are called directly: a garbled n_environments can be 10**12.
-    reader, config_type, valid = data.draw(st.sampled_from(_READERS))
+    # The reader is called directly: a garbled n_environments can be 10**12.
+    config_type, valid = data.draw(st.sampled_from(_READERS))
     payload = copy.deepcopy(valid)
     _garble(data.draw, data.draw(st.sampled_from(_objects(payload))))
     try:
-        config = reader(payload, "config")
+        config = read_object(config_type, payload, "config")
     except ValueError:
         return  # main maps every ValueError to exit 2
     assert isinstance(config, config_type)
+
+
+_GAUSSIAN = DensitySpec("gaussian", 0.0, 1.0)
+
+# Each constructor with every keyword argument given a valid value.
+_CONSTRUCTORS = [
+    (DGPConfig, dict(_READERS[0][1], coef_magnitude_range=(0.5, 2.0))),
+    (BenchConfig, dict(_READERS[1][1], env_grid=(20,), regimes=("iid",))),
+    (
+        DualityConfig,
+        dict(
+            f=MixingSpec("identity", 1),
+            base=SourceFamily("gaussian", (0.0,), (1.0,)),
+            per_u=(SourceFamily("gaussian", (0.0,), (2.0,)),),
+            n_samples=200,
+            seed=0,
+            test="ks-per-coordinate",
+        ),
+    ),
+    (SourceFamily, dict(family="laplace", location=(0.0, 1.0), scale=(1.0, 2.0))),
+    (MixingSpec, dict(kind="triangular-affine-tanh", d=2, seed=3)),
+    (DensitySpec, dict(family="gaussian", loc=0.5, scale=2.0)),
+    (
+        DiscrepancyQuery,
+        dict(
+            density_p=_GAUSSIAN,
+            density_p_tilde=_GAUSSIAN,
+            interval=(-1.0, 1.0),
+            grid_points=101,
+            derivative_step=1e-4,
+            zero_tolerance=1e-6,
+        ),
+    ),
+]
+
+_LIBRARY_VALUES = (
+    _JSON_VALUES
+    | st.sampled_from(
+        [np.int64(-3), np.int64(2**40), np.float64("nan"), np.float32(2.5), np.bool_(True), np.str_("iid")]
+    )
+    | st.sampled_from([np.array([1.0, 2.0]), np.array(3), (), (1,), (0.5, float("inf")), ("iid", "iid")])
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_config_constructors_return_their_type_or_raise_a_value_error(data):
+    # Library callers get the same checks as the JSON reader: a wrong type
+    # raises InvalidConfig, never a TypeError or AttributeError.
+    config_type, valid = data.draw(st.sampled_from(_CONSTRUCTORS))
+    kwargs = dict(valid)
+    kwargs[data.draw(st.sampled_from(sorted(kwargs)))] = data.draw(_LIBRARY_VALUES)
+    try:
+        config = config_type(**kwargs)
+    except ValueError:
+        return
+    assert isinstance(config, config_type)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: DGPConfig(20, "iid", "x_to_y", samples_per_env=2.5), "samples_per_env"),
+        (lambda: DGPConfig("50", "iid", "x_to_y"), "n_environments"),
+        (lambda: BenchConfig(n_seeds=1.5), "n_seeds"),
+        (lambda: BenchConfig(env_grid=(20.5,)), "env_grid[0]"),
+        (lambda: SourceFamily("gaussian", (0.0,), (float("nan"),)), "scale[0]"),
+        (lambda: SourceFamily("gaussian", (0.0,), (float("inf"),)), "scale[0]"),
+    ],
+    ids=["fractional-samples", "string-environments", "fractional-seeds", "fractional-grid", "nan-scale", "inf-scale"],
+)
+def test_library_configs_name_a_field_of_the_wrong_type(build, field):
+    # Each of these used to simulate, fail late or pass: 2.5 samples became
+    # 3, "50" raised a TypeError, 20.5 environments failed inside the first
+    # cell, and a NaN scale gave a passing duality report.
+    with pytest.raises(InvalidConfig) as info:
+        build()
+    assert str(info.value).startswith(f"{field}: expected ")
+
+
+def test_string_regimes_become_members_and_reach_the_csv():
+    config = BenchConfig(env_grid=(20,), n_seeds=1, regimes=("iid",))
+    assert len(config.regimes) == 1 and config.regimes[0] is VariabilityRegime.IID
+    assert cli.results_csv_text(cli.run_benchmark(config)[0]).splitlines()[1].startswith("iid,")
 
 
 @st.composite

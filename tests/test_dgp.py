@@ -59,7 +59,7 @@ def test_invalid_configs_rejected(kwargs):
     base = dict(n_environments=10, regime=FULL, structure=CausalStructure.X_TO_Y)
     base.update(kwargs)
     with pytest.raises(InvalidConfig):
-        DGPConfig(**base).validate()
+        DGPConfig(**base)
 
 
 # ---------------------------------------------------------------------------
