@@ -17,6 +17,7 @@ from collections.abc import Sequence
 from enum import Enum
 
 import numpy as np
+from numpy.typing import NDArray
 
 
 class InvalidConfig(ValueError):
@@ -55,6 +56,10 @@ def as_bool(value, path: str) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise InvalidConfig("expected true or false", path)
     return bool(value)
+
+
+def _as_float_array(value, path: str) -> NDArray[np.float64]:
+    return np.asarray(value, dtype=np.float64)  # float64 arrays pass through uncopied
 
 
 def as_enum(enum_cls: type[Enum], also: tuple = ()):
@@ -107,6 +112,8 @@ def read_object(cls, value, path: str):
 def _converter(annotation):
     if annotation in (int, float, bool):
         return {int: as_int, float: as_float, bool: as_bool}[annotation]
+    if annotation == NDArray[np.float64]:
+        return _as_float_array
     if dataclasses.is_dataclass(annotation):
         return functools.partial(read_object, annotation)
     if isinstance(annotation, type) and issubclass(annotation, Enum):

@@ -22,8 +22,12 @@ the conditional-independence tests must flag rather than mishandle.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import operator
+import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -32,7 +36,7 @@ from typing import Callable, Literal, Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from ._config import InvalidConfig, as_bool, as_enum, as_float, as_int, convert_fields
+from ._config import InvalidConfig, as_bool, as_float, convert_fields
 from ._streams import (
     ROLE_CAUSE_NOISE,
     ROLE_CAUSE_PARAMS,
@@ -92,15 +96,14 @@ class MultiEnvDataset:
     collapse_noise: bool = False
 
     def __post_init__(self):
-        # Frozen, so set through object.__setattr__; float64 arrays pass
-        # through uncopied.
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64))
+        convert_fields(self)
         shape = self.samples.shape
         if len(shape) != 3 or shape[2] != 2:
             raise InvalidConfig(f"samples must have shape (E, n, 2), got {shape}")
         if shape[0] < 1 or self.params.shape != (shape[0], 4):
             raise InvalidConfig("params must have shape (E, 4) for E >= 1 environments")
+        if self.noise_scale <= 0:
+            raise InvalidConfig("noise_scale must be positive and finite")
 
     @property
     def n_environments(self) -> int:
@@ -254,8 +257,6 @@ def joint_log_density(dataset: MultiEnvDataset) -> float:
     if dataset.collapse_noise:
         raise DegenerateDensity("collapsed noise has no density")
     b = dataset.noise_scale
-    if b <= 0:
-        raise DegenerateDensity("noise_scale must be positive for a density")
     theta, psi_loc, coef, nonlinear = _param_columns(dataset.params)
     x, y = dataset.samples[..., 0], dataset.samples[..., 1]
     if dataset.truth is CausalStructure.INDEPENDENT:
@@ -317,6 +318,54 @@ def _row_error(row: list[str], width: int, n_index: int) -> str | None:
     return None
 
 
+def _line_numbers(raw: bytes) -> tuple[NDArray[np.int64], int]:
+    """1-based numbers of the non-blank lines of ``raw``, split where
+    csv.reader splits them (at \\r\\n, \\r or \\n), and the longest one's length."""
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    breaks = np.flatnonzero((codes == 10) | (codes == 13))
+    kinds = codes[breaks]
+    second = np.zeros(breaks.size, dtype=bool)  # the \n of a \r\n
+    second[1:] = (kinds[1:] == 10) & (kinds[:-1] == 13) & (np.diff(breaks) == 1)
+    first = np.ones_like(second)  # the \r of a \r\n, or a lone line end
+    first[:-1] = ~second[1:]
+    lengths = np.append(breaks[~second], codes.size) - np.append(0, breaks[first] + 1)
+    return np.flatnonzero(lengths) + 1, int(lengths.max())
+
+
+def _bulk_table(raw: bytes, header_error, n_index):
+    """read_csv_table's result from numpy's C parser, or None for the row
+    walk to decide: the file is faulty, or the C parser may not read it as
+    csv.reader does (a header or row that spans lines, a field longer
+    than csv.reader allows, a character outside ASCII)."""
+    if not raw.isascii():
+        # Python's int and float read non-ASCII digits and spaces, and
+        # numpy 2.4.6's loadtxt can crash on a character past U+FFFF in an
+        # integer column.
+        return None
+    header = next(csv.reader([re.match(b"[^\r\n]*", raw)[0].decode()]))
+    if header_error([h.strip() for h in header]) is not None:
+        return None
+    lines, longest = _line_numbers(raw)
+    if lines.size < 2 or longest > csv.field_size_limit():
+        return None
+    width = len(header)
+    dtype = np.dtype([(f"c{j}", np.int64 if j < n_index else np.float64) for j in range(width)])
+    with warnings.catch_warnings():
+        # numpy 1.x reads "1.0" into an integer column with only a DeprecationWarning.
+        warnings.simplefilter("error")
+        table = np.loadtxt(
+            io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+            skiprows=1, encoding="ascii", ndmin=1,
+        )
+    if table.size != lines.size - 1:  # a quoted line break joined two lines into one row
+        return None
+    index = np.array([table[name] for name in dtype.names[:n_index]])
+    values = np.array([table[name] for name in dtype.names[n_index:]])
+    if np.any(index < 0) or not np.all(np.isfinite(values)):
+        return None
+    return index.T, values.T, lines[1:]
+
+
 def read_csv_table(
     path: str | Path,
     what: str,
@@ -331,9 +380,22 @@ def read_csv_table(
     leading integers that are not negative and finite values. Returns
     (index (N, n_index), values (N, width - n_index), 1-based line of
     each row). Errors name the offending line.
+
+    The file is read once. One bulk pass through ``np.loadtxt`` parses a
+    well-formed file; any file it refuses or might read differently is
+    parsed again with csv.reader and Python's ``int`` and ``float``, which
+    decide what is accepted and name the first offending line.
     """
-    with open(path, newline="") as f:
-        records = list(csv.reader(f))
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        table = _bulk_table(raw, header_error, n_index)
+    except (ValueError, Warning, csv.Error):
+        table = None
+    if table is not None:
+        return table
+    # Decoded as open(path, newline="") would decode it, errors included.
+    records = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")))
     if not records:
         raise DataFormatError(f"empty {what} file", line=1)
     message = header_error([h.strip() for h in records[0]])
@@ -342,22 +404,13 @@ def read_csv_table(
     width = len(records[0])
     lines = [i for i, row in enumerate(records[1:], start=2) if row]
     rows = [records[i - 1] for i in lines]
-    try:
-        if any(len(row) != width for row in rows):
-            raise ValueError
-        columns = list(zip(*rows)) or [()] * width
-        index = np.array([list(map(int, c)) for c in columns[:n_index]], dtype=np.int64)
-        values = np.array([list(map(float, c)) for c in columns[n_index:]], dtype=np.float64)
-        if np.any(index < 0) or not np.all(np.isfinite(values)):
-            raise ValueError
-    except (ValueError, OverflowError):
-        # Column-wise conversion is about twice as fast as parsing row by
-        # row; the rows are walked only to name the first offending line.
-        for line, row in zip(lines, rows):
-            message = _row_error(row, width, n_index)
-            if message is not None:
-                raise DataFormatError(message, line=line)
-        raise
+    for line, row in zip(lines, rows):
+        message = _row_error(row, width, n_index)
+        if message is not None:
+            raise DataFormatError(message, line=line)
+    columns = list(zip(*rows)) or [()] * width
+    index = np.array([list(map(int, c)) for c in columns[:n_index]], dtype=np.int64)
+    values = np.array([list(map(float, c)) for c in columns[n_index:]], dtype=np.float64)
     return index.T, values.T, np.array(lines, dtype=np.int64)
 
 
@@ -376,6 +429,14 @@ def read_environments_csv(path: str | Path) -> NDArray[np.float64]:
     if index.shape[0] == 0:
         raise DataFormatError("dataset contains no rows", line=2)
     env, sample = index[:, 0], index[:, 1]
+    # Rows in (env, sample) order, as write_dataset_csv writes them, need
+    # no sort: E environments of n samples reshape as they stand.
+    n = env.size if env[-1] == 0 else int(np.argmax(env != 0))
+    if n and env.size % n == 0:
+        e = env.size // n
+        grid = index.reshape(e, n, 2)
+        if np.all(grid[:, :, 0] == np.arange(e)[:, None]) and np.all(grid[:, :, 1] == np.arange(n)):
+            return np.ascontiguousarray(values.reshape(e, n, 2))
     envs, counts = np.unique(env, return_counts=True)
     if envs[-1] != envs.size - 1:
         raise DataFormatError("environment indices must be 0-based and contiguous")
@@ -397,7 +458,28 @@ def read_environments_csv(path: str | Path) -> NDArray[np.float64]:
     return samples
 
 
-def _param_rows(params) -> list[tuple[float, float, float, bool]]:
+_PARAM_FIELDS = operator.itemgetter("theta", "psi_loc", "psi_coef", "psi_nonlinear")
+
+
+def _param_table(params) -> NDArray[np.float64]:
+    """The sidecar's params list as an (E, 4) table.
+
+    Rows of three finite floats and a boolean, as write_truth_json writes
+    them, convert in one pass; any other list is walked row by row, which
+    converts it or names its first bad field.
+    """
+    try:
+        columns = tuple(zip(*map(_PARAM_FIELDS, params)))
+    except (KeyError, TypeError):
+        columns = ()
+    if (
+        len(columns) == 4
+        and set(map(type, columns[0] + columns[1] + columns[2])) == {float}
+        and set(map(type, columns[3])) == {bool}
+    ):
+        table = np.array(columns, dtype=np.float64).T
+        if np.all(np.isfinite(table)):
+            return np.ascontiguousarray(table)
     rows = []
     for i, p in enumerate(params):
         try:
@@ -406,7 +488,7 @@ def _param_rows(params) -> list[tuple[float, float, float, bool]]:
             rows.append(row)
         except InvalidConfig as exc:
             raise InvalidConfig(exc.reason, f"params[{i}].{exc.path}") from None
-    return rows
+    return np.array(rows, dtype=np.float64)
 
 
 def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDataset:
@@ -418,12 +500,14 @@ def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDatase
     try:
         return MultiEnvDataset(
             samples=samples,
-            truth=as_enum(CausalStructure)(payload["structure"], "structure"),
-            regime=as_enum(VariabilityRegime)(payload["regime"], "regime"),
-            params=np.array(_param_rows(payload["params"]), dtype=np.float64),
-            seed=as_int(payload["seed"], "seed"),
-            noise_scale=as_float(payload.get("noise_scale", 1.0), "noise_scale"),
-            collapse_noise=as_bool(payload.get("collapse_noise", False), "collapse_noise"),
+            truth=payload["structure"],
+            regime=payload["regime"],
+            params=_param_table(payload["params"]),
+            seed=payload["seed"],
+            noise_scale=payload.get("noise_scale", 1.0),
+            collapse_noise=payload.get("collapse_noise", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
+        if getattr(exc, "path", None) == "truth":  # the sidecar names this field "structure"
+            exc = InvalidConfig(exc.reason, "structure")
         raise DataFormatError(f"truth sidecar malformed: {exc}")

@@ -516,6 +516,15 @@ def test_variability_names_the_line_of_a_duplicate_environment(tmp_path, capsys)
     assert "duplicate environment index 1" in err and "line 4" in err
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_variability_counts_blank_lines_in_the_line_of_a_duplicate(tmp_path, capsys, end):
+    # Blank lines are skipped as rows but still counted as lines.
+    params = tmp_path / "params.csv"
+    params.write_bytes(end.join(["env,dim_0", "1,0.5", "", "0,0.25", "", "", "1,0.75", ""]).encode())
+    assert main(["variability", "--params", str(params)]) == 2
+    assert capsys.readouterr().err == "error: duplicate environment index 1 (line 7)\n"
+
+
 # ---------------------------------------------------------------------------
 # discrepancy.
 

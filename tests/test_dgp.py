@@ -1,11 +1,14 @@
 """Generator semantics: regimes, structural equations, densities, and IO."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from envcausal._streams import substream
 from envcausal.dgp import (
@@ -17,6 +20,7 @@ from envcausal.dgp import (
     MultiEnvDataset,
     VariabilityRegime,
     joint_log_density,
+    read_csv_table,
     read_dataset,
     read_environments_csv,
     sample_definetti_params,
@@ -419,6 +423,174 @@ def test_reader_places_rows_by_their_indices(tmp_path):
     )
 
 
+def _oracle_csv_table(path):
+    """The dataset reader as it was before its bulk pass: csv.reader, then
+    Python's int and float per field, the first bad row named."""
+    with open(path, newline="") as f:
+        records = list(csv.reader(f))
+    if not records:
+        raise DataFormatError("empty dataset file", line=1)
+    if [h.strip() for h in records[0]] != ["env", "sample", "x", "y"]:
+        raise DataFormatError("expected header env,sample,x,y", line=1)
+    lines = [i for i, row in enumerate(records[1:], start=2) if row]
+    index, values = [], []
+    for line in lines:
+        row = records[line - 1]
+        if len(row) != 4:
+            raise DataFormatError(f"expected 4 columns, got {len(row)}", line=line)
+        try:
+            index.append([int(v) for v in row[:2]])
+            values.append([float(v) for v in row[2:]])
+        except ValueError:
+            raise DataFormatError(f"unparseable row {row!r}", line=line)
+        if not all(0 <= i < 2**63 for i in index[-1]) or not all(map(math.isfinite, values[-1])):
+            raise DataFormatError(f"invalid values in row {row!r}", line=line)
+    shape = (len(lines), 2)
+    lines = np.array(lines, dtype=np.int64)
+    return np.array(index, dtype=np.int64).reshape(shape), np.array(values).reshape(shape), lines
+
+
+def _oracle_environments(path):
+    """read_environments_csv as it was: every row order sorted."""
+    index, values, _ = _oracle_csv_table(path)
+    if index.shape[0] == 0:
+        raise DataFormatError("dataset contains no rows", line=2)
+    env, sample = index[:, 0], index[:, 1]
+    envs, counts = np.unique(env, return_counts=True)
+    if envs[-1] != envs.size - 1:
+        raise DataFormatError("environment indices must be 0-based and contiguous")
+    order = np.lexsort((sample, env))
+    starts = np.cumsum(counts) - counts
+    gapped = sample[order] != np.arange(order.size) - starts[env[order]]
+    if np.any(gapped):
+        e = int(env[order][gapped][0])
+        raise DataFormatError(f"sample indices in environment {e} must be 0-based and contiguous")
+    uneven = np.flatnonzero(counts != counts[0])
+    if uneven.size:
+        e = int(uneven[0])
+        raise DataFormatError(
+            f"environments must have equal sample counts: environment 0 has {counts[0]}, "
+            f"environment {e} has {counts[e]}"
+        )
+    samples = np.empty((counts.size, int(counts[0]), 2))
+    samples[env, sample] = values
+    return samples
+
+
+_ODD_FIELDS = [
+    "1.0", "+0", "-0", "00", " 1 ", str(2**63), str(2**63 - 1), "-1", "1_0", "Infinity", "-inf",
+    "nan", "1e400", "0x10", "1d3", "", '"1"', '"1.5"x', '"1\n"', '1"', "\u0661", "1\x85", "1\x00",
+]
+_ODD_LINES = [
+    "", " ", "\t", "#0,0,1,2", "0,0,1,2,", '"0","0","1.5","2"', "0,0,1", "0,0,1,2,3", '"', "\f",
+]
+_ASCII = st.text(st.characters(max_codepoint=127), max_size=6)
+
+
+@st.composite
+def _garbled_dataset_csv(draw):
+    """Dataset bytes as write_dataset_csv writes them, or a hand edit of
+    them: another line end, header spacing, row order, odd fields or lines."""
+    e = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [
+        [str(k // n), str(k % n), repr(draw(finite)), repr(draw(finite))] for k in range(e * n)
+    ]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(_ODD_FIELDS) | _ASCII | st.text(max_size=4))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        line = draw(st.sampled_from(_ODD_LINES) | _ASCII | st.text(max_size=8))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    header = draw(st.sampled_from(["env,sample,x,y", " env, sample ,x,y", '"env",sample,x,y', "env,sample,x"]))
+    end = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    text = end.join([header] + lines) + draw(st.sampled_from([end, "", end + end]))
+    return text.encode()
+
+
+def _outcome(read, path):
+    """What ``read`` made of ``path``: each array's dtype, shape and bytes, or the error."""
+    try:
+        result = read(path)
+    except DataFormatError as exc:
+        return "error", str(exc), exc.line
+    except (ValueError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = map(np.asarray, result if isinstance(result, tuple) else (result,))
+    return "ok", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _dataset_header_error(header):
+    return None if header == ["env", "sample", "x", "y"] else "expected header env,sample,x,y"
+
+
+def _assert_readers_agree(path):
+    table = _outcome(lambda p: read_csv_table(p, "dataset", _dataset_header_error, 2), path)
+    assert table == _outcome(_oracle_csv_table, path)
+    assert _outcome(read_environments_csv, path) == _outcome(_oracle_environments, path)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reader_agrees_with_the_row_by_row_reader(tmp_path, data):
+    # The bulk pass may hand a file to the row walk, but never reads one
+    # differently: the same bits, or the same error on the same line.
+    path = tmp_path / "d.csv"
+    path.write_bytes(data.draw(_garbled_dataset_csv() | st.binary(max_size=60)))
+    _assert_readers_agree(path)
+
+
+_EDGE_FILES = {
+    "comment-row": "env,sample,x,y\n#0,0,1,2\n0,0,1,2\n",
+    "comment-tail": "env,sample,x,y\n0,0,1,2#\n",
+    "quoted": 'env,sample,x,y\n"0","0","1.5","2"\n',
+    "quoted-line-break": 'env,sample,x,y\n0,0,"1\n",2\n0,1,3,4\n',
+    "quoted-header-break": '"env\n",sample,x,y\n0,0,1,2\n',
+    "blank-lines": "env,sample,x,y\r\n\r\n0,0,1,2\r\n\r\n\r\n0,1,3,4\r\n\r\n",
+    "whitespace-line": "env,sample,x,y\n0,0,1,2\n \n",
+    "cr-only": "env,sample,x,y\r0,0,1,2\r\r0,1,3,4\r",
+    "float-index": "env,sample,x,y\n1.0,0,1,2\n",
+    "signed-index": "env,sample,x,y\n+0,-0,1,2\n",
+    "index-2**63": f"env,sample,x,y\n{2**63},0,1,2\n",
+    "underscore": "env,sample,x,y\n0,0,1_0,2\n",
+    "infinity": "env,sample,x,y\n0,0,Infinity,2\n",
+    "hex": "env,sample,x,y\n0,0,0x10,2\n",
+    "fortran-exponent": "env,sample,x,y\n0,0,1d3,2\n",
+    "trailing-comma": "env,sample,x,y\n0,0,1,2,\n",
+    "arabic-digit": "env,sample,x,y\n\u0660,0,1,2\n",
+    "swapped-samples": "env,sample,x,y\n0,1,1,2\n0,0,3,4\n1,0,5,6\n1,1,7,8\n",
+    "spaced-header": " env , sample,x,y\n0,0, 1 ,2\n",
+    "header-only": "env,sample,x,y\r\n",
+    "empty": "",
+    "long-field": "env,sample,x,y\n0,0,0." + "0" * 131072 + "1,2\n",
+}
+
+
+@pytest.mark.parametrize("text", _EDGE_FILES.values(), ids=_EDGE_FILES.keys())
+def test_reader_agrees_with_the_row_by_row_reader_on_edge_files(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    _assert_readers_agree(path)
+
+
+def test_reader_reads_written_rows_in_order_and_shuffled_the_same(tmp_path):
+    dataset = simulate_dataset(_config(FULL, CausalStructure.X_TO_Y, e=30, n=3), 9)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(dataset, path)
+    header, *rows = path.read_text().splitlines()
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+    for p in (path, shuffled):
+        samples = read_environments_csv(p)
+        assert samples.flags.c_contiguous
+        assert samples.tobytes() == dataset.samples.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (0, 2, 2)])
 def test_dataset_requires_an_environment_by_sample_by_pair_array(shape):
     with pytest.raises(InvalidConfig):
@@ -443,12 +615,60 @@ def test_dataset_requires_one_parameter_row_per_environment(shape):
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", 1.5, "seed: expected an integer"),
+        ("noise_scale", float("nan"), "noise_scale: expected a finite number"),
+        ("noise_scale", 0.0, "noise_scale must be positive and finite"),
+        ("collapse_noise", "no", "collapse_noise: expected true or false"),
+        ("truth", "sideways", "truth: expected one of x_to_y, y_to_x, independent, got 'sideways'"),
+    ],
+)
+def test_dataset_converts_and_checks_its_scalar_fields(field, value, message):
+    # A NaN noise scale used to construct, and joint_log_density then gave nan.
+    kwargs = dict(samples=np.zeros((2, 2, 2)), truth="independent", regime=IID, params=np.zeros((2, 4)), seed=0)
+    with pytest.raises(InvalidConfig) as err:
+        MultiEnvDataset(**dict(kwargs, **{field: value}))
+    assert str(err.value) == message
+    dataset = MultiEnvDataset(**kwargs)
+    assert dataset.truth is CausalStructure.INDEPENDENT and type(dataset.seed) is int
+
+
 @pytest.mark.parametrize("params", [[], [[0.0, 0.0, 1.0, 0.0]] * 3, [[0.0, 0.0, 1.0]] * 2])
 def test_simulate_with_params_requires_an_environment_by_four_table(params):
     with pytest.raises(InvalidConfig):
         simulate_with_params(
             _config(IID, CausalStructure.X_TO_Y, e=2), CausalStructure.X_TO_Y, params, seed=0
         )
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        (-1, None),
+        (2**1100, "params[1].theta: expected a finite number"),
+        (True, "params[1].theta: expected a number"),
+        ("0.5", "params[1].theta: expected a number"),
+        (float("nan"), "params[1].theta: expected a finite number"),
+    ],
+)
+def test_sidecar_params_off_the_bulk_path_convert_row_by_row(tmp_path, theta, message):
+    # Only floats and booleans convert in bulk; an integer still converts,
+    # and anything else is named by its field.
+    dataset = simulate_dataset(_config(FULL, CausalStructure.X_TO_Y, e=3), 4)
+    write_dataset_csv(dataset, tmp_path / "d.csv")
+    write_truth_json(dataset, tmp_path / "d.truth.json")
+    payload = json.loads((tmp_path / "d.truth.json").read_text())
+    payload["params"][1]["theta"] = theta
+    (tmp_path / "d.truth.json").write_text(json.dumps(payload))
+    if message is None:
+        params = read_dataset(tmp_path / "d.csv", tmp_path / "d.truth.json").params
+        assert params[1, 0] == theta and np.array_equal(np.delete(params, 1, 0), np.delete(dataset.params, 1, 0))
+    else:
+        with pytest.raises(DataFormatError) as err:
+            read_dataset(tmp_path / "d.csv", tmp_path / "d.truth.json")
+        assert str(err.value) == f"truth sidecar malformed: {message}"
 
 
 def test_truth_sidecar_errors(tmp_path):
