@@ -24,6 +24,10 @@ Inputs may be ``(n, r)`` arrays: n independent units observed r times
 each. The r products of a unit are summed before the variance is taken,
 so the r observations of a unit may be dependent.
 
+Each input may also be given as its ``RankScores``, so a caller that
+tests one variable several times, as a discovery decision does, ranks it
+once.
+
 Constant inputs are reported as independent (p = 1) with a flag instead
 of raising: datasets with collapsed noise legitimately produce constant
 columns, and a constant is independent of everything.
@@ -71,45 +75,32 @@ class CITestResult:
             raise ValueError(f"p_value {self.p_value} outside [0,1]")
 
 
-def _as_vector(name: str, values) -> NDArray[np.float64]:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{name} must be one- or two-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _check_lengths(*arrays) -> int:
-    n = arrays[0].shape[0]
-    if any(a.shape != arrays[0].shape for a in arrays):
+def _scored(**inputs) -> list[RankScores]:
+    """The inputs as RankScores, arrays checked and scored under their names."""
+    scores = [v if isinstance(v, RankScores) else RankScores.of(v, k) for k, v in inputs.items()]
+    shape = scores[0].values.shape
+    if any(s.values.shape != shape for s in scores):
         raise ValueError("all inputs must have equal length")
-    if n < _MIN_N:
-        raise InsufficientSamples(f"need at least {_MIN_N} samples for this test, got {n}")
-    return n
+    if shape[0] < _MIN_N:
+        raise InsufficientSamples(f"need at least {_MIN_N} samples for this test, got {shape[0]}")
+    return scores
 
 
-def _is_constant(v: NDArray[np.float64]) -> bool:
-    return bool(np.all(v == v.flat[0]))
-
-
-def _canonical_sides(
-    a: NDArray[np.float64], b: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+def _canonical_sides(a: RankScores, b: RankScores) -> tuple[RankScores, RankScores]:
     """Order the pair so both argument orders run the identical computation.
 
-    Picking the order by byte comparison makes the test exactly
-    symmetric in its arguments, floating-point rounding included.
+    Picking the order by byte comparison of the values makes the test
+    exactly symmetric in its arguments, floating-point rounding included.
     """
-    if a.tobytes() <= b.tobytes():
+    if a.values.tobytes() <= b.values.tobytes():
         return a, b
     return b, a
 
 
-def _mid_ranks(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """1-based ranks of the raveled entries, ties given their mean rank.
+def _mid_ranks(v: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """1-based ranks of the raveled entries, ties given their mean rank, and their sorting order.
 
-    The same values as ``scipy.stats.rankdata`` without its array-API
+    The same ranks as ``scipy.stats.rankdata`` without its array-API
     dispatch: each run of equal values gets the mean of the ordinal ranks
     it spans, an exact half-integer, whatever order the sort left it in.
     """
@@ -122,26 +113,56 @@ def _mid_ranks(v: NDArray[np.float64]) -> NDArray[np.float64]:
     count = np.append(np.flatnonzero(first), flat.size)
     ranks = np.empty(flat.size)
     ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
-    return ranks
+    return ranks, order
 
 
-def _normal_scores(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Standard normal quantiles of the mid-ranks, taken over every entry."""
-    return ndtri((_mid_ranks(v) - 0.5) / v.size).reshape(v.shape)
+@dataclass(frozen=True)
+class RankScores:
+    """One variable's entries and their scores from a single rank pass:
+    ``normal`` holds the standard normal quantiles of the mid-ranks over
+    every entry, ``uniform`` the centred mid-ranks scaled to unit
+    variance, ``sorted_normal`` the raveled normal scores in ascending order.
+    """
+
+    values: NDArray[np.float64]
+    normal: NDArray[np.float64]
+    uniform: NDArray[np.float64]
+    sorted_normal: NDArray[np.float64]
+
+    @classmethod
+    def of(cls, values, name: str = "values") -> RankScores:
+        """Check ``values`` (named ``name`` in errors) and score them."""
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim not in (1, 2):
+            raise ValueError(f"{name} must be one- or two-dimensional")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} contains non-finite values")
+        ranks, order = _mid_ranks(v)
+        levels = (ranks - 0.5) / v.size
+        normal = ndtri(levels)
+        uniform = math.sqrt(12.0) * (levels - 0.5)
+        return cls(v, normal.reshape(v.shape), uniform.reshape(v.shape), normal[order])
+
+    @property
+    def constant(self) -> bool:
+        """Whether every entry is equal; the scores rise strictly with the values."""
+        return bool(self.sorted_normal[0] == self.sorted_normal[-1])
+
+    def reversed(self) -> RankScores:
+        """The columns of each row in reverse order; ranks are exact, so these
+        are the very scores of the reversed array."""
+        v, normal, uniform = self.values[..., ::-1], self.normal[..., ::-1], self.uniform[..., ::-1]
+        return RankScores(v, normal, uniform, self.sorted_normal)
 
 
-def _uniform_scores(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Centred mid-ranks over every entry, scaled to unit variance."""
-    return (math.sqrt(12.0) * ((_mid_ranks(v) - 0.5) / v.size - 0.5)).reshape(v.shape)
-
-
-def _spline_basis(z: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Cubic truncated-power basis with knots at quantiles of z."""
-    n_knots = min(_GCM_MAX_KNOTS, z.size // _GCM_ROWS_PER_KNOT)
-    at = np.linspace(0.0, z.size - 1, n_knots + 2)[1:-1]  # np.quantile's linear rule, cheaper
-    knots = np.interp(at, np.arange(z.size), np.sort(z))
-    t = np.maximum(z[:, None] - knots, 0.0)
-    return np.column_stack((np.ones_like(z), z, z * z, z * z * z, t * t * t))
+def _spline_basis(z: RankScores) -> NDArray[np.float64]:
+    """Cubic truncated-power basis in z's normal scores, with knots at their quantiles."""
+    s = z.normal.ravel()
+    n_knots = min(_GCM_MAX_KNOTS, s.size // _GCM_ROWS_PER_KNOT)
+    at = np.linspace(0.0, s.size - 1, n_knots + 2)[1:-1]  # np.quantile's linear rule, cheaper
+    knots = np.interp(at, np.arange(s.size), z.sorted_normal)
+    t = np.maximum(s[:, None] - knots, 0.0)
+    return np.column_stack((np.ones_like(s), s, s * s, s * s * s, t * t * t))
 
 
 def _residualize(features: NDArray[np.float64], basis: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -158,27 +179,29 @@ def _residualize(features: NDArray[np.float64], basis: NDArray[np.float64]) -> N
 
 
 def _gcm(
-    a: NDArray[np.float64],
-    b: NDArray[np.float64],
-    z: NDArray[np.float64] | None,
+    a: RankScores,
+    b: RankScores,
+    z: RankScores | None,
     linear_only: bool = False,
     squares_only: bool = False,
 ) -> CITestResult:
+    units = a.values.shape[0]
+    if a.constant or b.constant or (z is not None and z.constant):
+        return CITestResult(0.0, 1.0, units, (FLAG_ZERO_VARIANCE,))
     a, b = _canonical_sides(a, b)
-    units = a.shape[0]
     if linear_only:
-        features = np.stack([_uniform_scores(a).ravel(), _uniform_scores(b).ravel()], axis=1)
+        features = np.stack([a.uniform.ravel(), b.uniform.ravel()], axis=1)
     else:
-        sa, sb = _normal_scores(a).ravel(), _normal_scores(b).ravel()
+        sa, sb = a.normal.ravel(), b.normal.ravel()
         # Columns: a score, b score, a score^2, b score^2; pairs (0, 1), (2, 3).
-        features = np.stack([sa, sb, sa * sa, sb * sb], axis=1)
-        if squares_only:
-            features = features[:, 2:]
+        # squares_only keeps the last pair alone.
+        columns = [sa * sa, sb * sb] if squares_only else [sa, sb, sa * sa, sb * sb]
+        features = np.stack(columns, axis=1)
     centered = features - features.mean(axis=0)
     if z is None:
         residuals = centered
     else:
-        residuals = _residualize(features, _spline_basis(_normal_scores(z).ravel()))
+        residuals = _residualize(features, _spline_basis(z))
     kept = np.sum(residuals * residuals, axis=0) > _DEGENERACY_EPS * np.sum(
         centered * centered, axis=0
     )
@@ -221,13 +244,8 @@ def _gcm(
 
 def marginal_independence_test(x, y) -> CITestResult:
     """Test whether x and y are independent; higher p means less evidence
-    against independence."""
-    xv = _as_vector("x", x)
-    yv = _as_vector("y", y)
-    n = _check_lengths(xv, yv)
-    if _is_constant(xv) or _is_constant(yv):
-        return CITestResult(0.0, 1.0, n, (FLAG_ZERO_VARIANCE,))
-    return _gcm(xv, yv, None)
+    against independence. Each input is an array or its RankScores."""
+    return _gcm(*_scored(x=x, y=y), None)
 
 
 def conditional_independence_test(
@@ -236,14 +254,9 @@ def conditional_independence_test(
     """Test whether x and y are independent given the scalar conditioner z.
 
     ``linear_only`` tests the linear moment pair alone and ``squares_only``
-    the squares pair alone, one-sided; see the module docstring.
+    the squares pair alone, one-sided; see the module docstring. Each
+    input is an array or its RankScores.
     """
     if linear_only and squares_only:
         raise ValueError("linear_only and squares_only exclude each other")
-    xv = _as_vector("x", x)
-    yv = _as_vector("y", y)
-    zv = _as_vector("z", z)
-    n = _check_lengths(xv, yv, zv)
-    if _is_constant(xv) or _is_constant(yv) or _is_constant(zv):
-        return CITestResult(0.0, 1.0, n, (FLAG_ZERO_VARIANCE,))
-    return _gcm(xv, yv, zv, linear_only, squares_only)
+    return _gcm(*_scored(x=x, y=y, z=z), linear_only, squares_only)

@@ -395,7 +395,11 @@ def read_csv_table(
     if table is not None:
         return table
     # Decoded as open(path, newline="") would decode it, errors included.
-    records = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise DataFormatError(f"cannot parse {what} file: {exc}", line=reader.line_num) from None
     if not records:
         raise DataFormatError(f"empty {what} file", line=1)
     message = header_error([h.strip() for h in records[0]])

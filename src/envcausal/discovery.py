@@ -20,11 +20,13 @@ by the significance level alpha:
 
 The tests (the generalised covariance measure of ``citest``) pool both
 orders of an environment's two samples, (1, 2) and (2, 1), and take their
-variance over environments. The marginal test runs first. When the linear
-moment pair of x1 and y1 alone is significant at LINEAR_GATE_LEVEL, the
-coupling keeps its sign across environments (the mechanism is shared),
-the reverse direction's dependence runs through that linear moment, and
-the two conditional tests use the linear pair alone. Otherwise the sign
+variance over environments. The scores of x and of y are computed once
+per decision and handed to all three tests as ``citest.RankScores``.
+The marginal test runs first. When the linear moment pair of x1 and y1
+alone is significant at LINEAR_GATE_LEVEL, the coupling keeps its sign
+across environments (the mechanism is shared), the reverse direction's
+dependence runs through that linear moment, and the two conditional
+tests use the linear pair alone. Otherwise the sign
 varies between environments, so the linear moment carries nothing, and
 they test the squares pair alone, one-sided against negative dependence.
 That is the sign the reverse direction shows when the coupling's gain
@@ -43,6 +45,7 @@ from scipy.special import chdtri
 
 from .citest import (
     InsufficientSamples,
+    RankScores,
     conditional_independence_test,
     marginal_independence_test,
 )
@@ -118,8 +121,8 @@ def discover_structure(dataset: MultiEnvDataset, alpha: float = 0.05) -> Discove
         raise ValueError("alpha must lie strictly between 0 and 1")
     pairs = build_cross_sample_pairs(dataset)
     # Row e holds environment e's samples in both orders: (1, 2), (2, 1).
-    x1, y1 = pairs[..., 0], pairs[..., 1]
-    x2, y2 = x1[:, ::-1], y1[:, ::-1]
+    x1, y1 = RankScores.of(pairs[..., 0], "x"), RankScores.of(pairs[..., 1], "y")
+    x2, y2 = x1.reversed(), y1.reversed()
     res_independent = marginal_independence_test(x1, y1)
     linear_only = bool(res_independent.components) and res_independent.components[0] > _LINEAR_GATE
     squares_only = not linear_only

@@ -16,8 +16,8 @@ from envcausal.citest import (
     FLAG_ZERO_VARIANCE,
     CITestResult,
     InsufficientSamples,
+    RankScores,
     _mid_ranks,
-    _normal_scores,
     _residualize,
     _spline_basis,
     conditional_independence_test,
@@ -359,32 +359,63 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@given(
-    st.one_of(
-        st.tuples(st.integers(1, 2000)),
-        st.tuples(st.integers(1, 1000), st.just(2)),
-        st.tuples(st.integers(1, 50), st.integers(1, 40)),
-    ),
-    st.integers(1, 2000),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=200, deadline=None)
-def test_mid_ranks_equal_scipy_rankdata_bit_for_bit(shape, distinct, seed):
+def _tied_values(shape, distinct, seed):
     # Values drawn with replacement from a small pool force ties; the pool
     # holds both signed zeros, which compare equal and so share a rank.
     rng = np.random.default_rng(seed)
     pool = np.concatenate([[0.0, -0.0], rng.standard_normal(distinct)])
-    values = rng.choice(pool, size=shape)
-    assert _same_bits(_mid_ranks(values), scipy.stats.rankdata(values.ravel()))
+    return rng.choice(pool, size=shape)
 
 
-@given(st.integers(1, 2000))
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 2000)),
+    st.tuples(st.integers(1, 1000), st.just(2)),
+    st.tuples(st.integers(1, 50), st.integers(1, 40)),
+)
+
+
+@given(SHAPES, st.integers(1, 2000), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_mid_ranks_equal_scipy_rankdata_bit_for_bit(shape, distinct, seed):
+    values = _tied_values(shape, distinct, seed)
+    ranks, order = _mid_ranks(values)
+    assert _same_bits(ranks, scipy.stats.rankdata(values.ravel()))
+    assert np.all(np.diff(values.ravel()[order]) >= 0.0)
+
+
+@given(st.integers(1, 2000), st.integers(1, 2000), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_normal_scores_equal_norm_ppf_bit_for_bit(n):
+def test_normal_scores_equal_norm_ppf_bit_for_bit(n, distinct, seed):
     # Mid-ranks are half-integers in [1, n], so these are every quantile
     # level a score of n entries can take.
     levels = (np.arange(2, 2 * n + 1) / 2.0 - 0.5) / n
     assert _same_bits(ndtri(levels), scipy.stats.norm.ppf(levels))
+    values = _tied_values(n, distinct, seed)
+    scores = RankScores.of(values)
+    levels = (scipy.stats.rankdata(values) - 0.5) / n
+    assert _same_bits(scores.normal, scipy.stats.norm.ppf(levels))
+    assert _same_bits(scores.uniform, math.sqrt(12.0) * (levels - 0.5))
+
+
+@given(SHAPES, st.integers(1, 2000), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_rank_scores_of_a_reversed_view_equal_those_of_the_reversed_array(shape, distinct, seed):
+    values = _tied_values(shape, distinct, seed)
+    scores = RankScores.of(values)
+    assert _same_bits(scores.sorted_normal, np.sort(scores.normal.ravel()))
+    view, direct = scores.reversed(), RankScores.of(values[..., ::-1])
+    for field in ("values", "normal", "uniform", "sorted_normal"):
+        assert _same_bits(getattr(view, field), getattr(direct, field)), field
+
+
+def test_rank_scores_are_checked_like_arrays():
+    with pytest.raises(ValueError, match="^x contains non-finite values$"):
+        RankScores.of([1.0, np.inf], "x")
+    with pytest.raises(ValueError, match="^values must be one- or two-dimensional$"):
+        RankScores.of(np.zeros((2, 2, 2)))
+    x = RankScores.of(np.arange(30.0))
+    with pytest.raises(ValueError, match="equal length"):
+        marginal_independence_test(x, np.arange(31.0))
 
 
 def test_direct_p_value_functions_equal_scipy_stats_over_the_statistic_range():
@@ -454,9 +485,9 @@ RESIDUALIZER_CASES = dict(_residualizer_cases())
 @pytest.mark.parametrize("case", list(RESIDUALIZER_CASES))
 def test_least_squares_residuals_match_gram_schmidt(case, monkeypatch):
     x, y, z = RESIDUALIZER_CASES[case]
-    sa, sb = _normal_scores(x).ravel(), _normal_scores(y).ravel()
+    sa, sb = RankScores.of(x).normal.ravel(), RankScores.of(y).normal.ravel()
     features = np.stack([sa, sb, sa * sa, sb * sb], axis=1)
-    basis = _spline_basis(_normal_scores(z).ravel())
+    basis = _spline_basis(RankScores.of(z))
     if case == "three_valued":
         assert not np.all(np.linalg.norm(basis, axis=0) > 0.0)
     reference = _gram_schmidt_residuals(features, basis)

@@ -100,6 +100,18 @@ def test_malformed_csv_names_the_line(tmp_path, dgp_config_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_field_over_the_csv_size_limit_exits_two_with_its_line(tmp_path, dgp_config_path, capsys):
+    data = tmp_path / "data.csv"
+    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
+    lines = data.read_text().splitlines()
+    lines[2] = "0,1," + "1" * 140_000 + ".5,0.5"
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "field larger than field limit" in err and "line 3" in err
+
+
 def test_discover_rejects_unequal_sample_counts(tmp_path, dgp_config_path, capsys):
     data = tmp_path / "data.csv"
     main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])

@@ -425,9 +425,14 @@ def test_reader_places_rows_by_their_indices(tmp_path):
 
 def _oracle_csv_table(path):
     """The dataset reader as it was before its bulk pass: csv.reader, then
-    Python's int and float per field, the first bad row named."""
+    Python's int and float per field, the first bad row named. A csv.Error
+    (a field over the size limit) becomes a DataFormatError on its line."""
     with open(path, newline="") as f:
-        records = list(csv.reader(f))
+        reader = csv.reader(f)
+        try:
+            records = list(reader)
+        except csv.Error as exc:
+            raise DataFormatError(f"cannot parse dataset file: {exc}", line=reader.line_num)
     if not records:
         raise DataFormatError("empty dataset file", line=1)
     if [h.strip() for h in records[0]] != ["env", "sample", "x", "y"]:

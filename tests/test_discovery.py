@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from envcausal import discovery
 from envcausal.citest import (
     InsufficientSamples,
     conditional_independence_test,
@@ -162,6 +164,54 @@ def test_shared_coupling_sign_gates_gcm_to_the_linear_pair():
     decision = discover_structure(flipping)
     assert not gated
     assert (decision.p_x_to_y, decision.p_y_to_x, decision.p_independent) == expected
+
+
+@st.composite
+def _decision_inputs(draw):
+    """Samples with a coupling whose sign is shared (the linear gate
+    fires) or flips between environments (the squares path), optionally
+    noiseless, rounded into ties and few distinct values (duplicate
+    knots), or with a constant column. The seeded generator picks the
+    case, so every case keeps its share of the examples."""
+    e, n = draw(st.integers(20, 600)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = lambda options: options[rng.integers(len(options))]
+    x = rng.standard_normal((e, 1)) + rng.laplace(size=(e, n))
+    gain = pick([2.0, 0.3, 0.0]) * rng.uniform(0.5, 1.5, (e, 1))
+    if rng.random() < 0.5:
+        gain *= rng.choice([-1.0, 1.0], (e, 1))
+    y = gain * x + pick([1.0, 1.0, 0.0]) * rng.laplace(size=(e, n))
+    samples = np.stack([x, y], axis=2)
+    decimals = pick([None, 1, 0])
+    if decimals is not None:
+        samples = np.round(samples, decimals)
+    constant = pick([None] * 6 + [0, 1])
+    if constant is not None:
+        samples[..., constant] = 1.5
+    return samples, pick([0.01, 0.05, 0.2])
+
+
+@given(_decision_inputs())
+@settings(max_examples=60, deadline=None)
+def test_decision_equals_the_three_tests_on_plain_arrays_bit_for_bit(inputs):
+    # discover_structure ranks each variable once; the public tests given
+    # raw arrays rank every argument afresh. Ranks are exact, so nothing
+    # may differ, not even in the last bit.
+    samples, alpha = inputs
+    e = samples.shape[0]
+    dataset = MultiEnvDataset(samples, CausalStructure.X_TO_Y, FULL, np.zeros((e, 4)), 0)
+    x1, y1 = samples[:, :2, 0], samples[:, :2, 1]
+    marginal = marginal_independence_test(x1, y1)
+    linear = bool(marginal.components) and marginal.components[0] > discovery._LINEAR_GATE
+    moments = {"linear_only": linear, "squares_only": not linear}
+    x_to_y = conditional_independence_test(y1, x1[:, ::-1], x1, **moments)
+    y_to_x = conditional_independence_test(x1, y1[:, ::-1], y1, **moments)
+    results = {"x_to_y": x_to_y, "y_to_x": y_to_x, "independent": marginal}
+    decision = discover_structure(dataset, alpha=alpha)
+    assert decision.structure is _decide(x_to_y.p_value, y_to_x.p_value, marginal.p_value, alpha)
+    got = [decision.p_x_to_y, decision.p_y_to_x, decision.p_independent]
+    assert [p.hex() for p in got] == [r.p_value.hex() for r in results.values()]
+    assert decision.flags == tuple(f"{k}:{f}" for k, r in results.items() for f in r.flags)
 
 
 def test_directions_tied_up_to_rounding_decide_x_to_y():
