@@ -135,6 +135,8 @@ class RankScores:
         v = np.asarray(values, dtype=np.float64)
         if v.ndim not in (1, 2):
             raise ValueError(f"{name} must be one- or two-dimensional")
+        if v.size == 0:
+            raise InsufficientSamples(f"{name} has no entries")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} contains non-finite values")
         ranks, order = _mid_ranks(v)

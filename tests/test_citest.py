@@ -413,6 +413,11 @@ def test_rank_scores_are_checked_like_arrays():
         RankScores.of([1.0, np.inf], "x")
     with pytest.raises(ValueError, match="^values must be one- or two-dimensional$"):
         RankScores.of(np.zeros((2, 2, 2)))
+    # Rows without columns used to pass the sample minimum and then raise an IndexError.
+    with pytest.raises(InsufficientSamples, match="^x has no entries$"):
+        marginal_independence_test(np.zeros((25, 0)), np.zeros((25, 0)))
+    with pytest.raises(InsufficientSamples, match="^z has no entries$"):
+        RankScores.of([], "z")
     x = RankScores.of(np.arange(30.0))
     with pytest.raises(ValueError, match="equal length"):
         marginal_independence_test(x, np.arange(31.0))

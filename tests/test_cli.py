@@ -739,6 +739,24 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys, command, payload, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("test", ["ks-per-coordinate", "energy-permutation"])
+def test_duality_names_a_sample_table_that_overflows(tmp_path, capsys, test):
+    # The mixing's 0.81 * 1e308 + 1e308 overflows; the error used to come
+    # from solve_triangular ("array must not contain infs or NaNs").
+    target = dict(_DUAL["per_u"][0], location=[1e308, 1e308], scale=[0.5, 2.0])
+    payload = dict(
+        _DUAL,
+        f={"kind": "triangular-affine-tanh", "d": 2, "seed": 0},
+        base={"family": "gaussian", "location": [0.0, 0.0], "scale": [1.0, 1.0]},
+        per_u=[target],
+        test=test,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run_config(tmp_path, "duality", payload) == 2
+    assert capsys.readouterr().err == "error: a contains non-finite values\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
     "flag", ["--step", "--zero-tol", "--p-scale", "--pt-scale", "--p-loc", "--lo 0 --hi"]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envcausal.citest import InsufficientSamples
 from envcausal.duality import (
@@ -187,11 +189,14 @@ def _energy_loop_reference(a, b, n_permutations, seed):
     return observed, (exceed + 1) / (n_permutations + 1)
 
 
-@pytest.mark.parametrize("seed", range(60))
+# Seeds 60-69 take d from 4 to 7, up to which the column-by-column distance
+# matrix keeps the bits of the reference's sum over the coordinate axis, and
+# tables of up to 200 rows.
+@pytest.mark.parametrize("seed", range(70))
 def test_energy_permutations_match_the_loop_reference(seed):
     rng = substream(40, seed)
-    n, m = (int(k) for k in rng.integers(5, 60, size=2))
-    d = int(rng.integers(1, 4))
+    n, m = (int(k) for k in rng.integers(5, 60 if seed < 60 else 200, size=2))
+    d = int(rng.integers(1, 4)) if seed < 60 else 4 + seed % 4
     a = rng.normal(size=(n, d))
     b = rng.normal(loc=rng.uniform(0.0, 0.5), size=(m, d))
     # 60 permutations of at least 10 pooled rows: one block or several.
@@ -215,6 +220,75 @@ def test_ks_needs_enough_samples_and_matching_dimension():
         two_sample_test(rng.normal(size=(60, 1)), rng.normal(size=(60, 2)))
     with pytest.raises(InsufficientSamples):
         two_sample_test(np.zeros((0, 1)), np.zeros((60, 1)))
+    # A NaN column used to drop out of the Bonferroni minimum, an all-NaN
+    # table passed with p = 1, and tables without columns gave (0.0, 1.0).
+    with pytest.raises(DimensionMismatch, match="^a has no columns$"):
+        two_sample_test(np.zeros((60, 0)), np.zeros((60, 0)))
+    finite = rng.normal(size=(60, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        table = finite.copy()
+        table[7, 1] = bad
+        with pytest.raises(ValueError, match="^a contains non-finite values$"):
+            two_sample_test(table, finite)
+        with pytest.raises(ValueError, match="^b contains non-finite values$"):
+            two_sample_test(finite, table)
+    with pytest.raises(ValueError, match="^a contains non-finite values$"):
+        two_sample_test(np.full((60, 1), np.nan), np.full((60, 1), np.nan))
+
+
+def test_energy_rejects_non_finite_and_columnless_tables():
+    # These used to give a nan statistic with p = 1/201, and (0.0, 1.0).
+    energy = TwoSampleMethod.ENERGY_PERMUTATION
+    a = substream(32).normal(size=(30, 2))
+    b = a.copy()
+    b[3, 0] = np.nan
+    with pytest.raises(ValueError, match="^b contains non-finite values$"):
+        two_sample_test(a, b, energy)
+    with pytest.raises(DimensionMismatch, match="^a has no columns$"):
+        two_sample_test(np.zeros((60, 0)), np.zeros((60, 0)), energy)
+
+
+def _ks_loop_reference(a, b):
+    """The former per-coordinate loop over ``scipy.stats.ks_2samp``."""
+    best_stat = 0.0
+    best_p = float("inf")
+    for j in range(a.shape[1]):
+        res = scipy.stats.ks_2samp(a[:, j], b[:, j], method="asymp")
+        if res.pvalue < best_p:
+            best_p = float(res.pvalue)
+            best_stat = float(res.statistic)
+    return best_stat, min(1.0, best_p * a.shape[1])
+
+
+@st.composite
+def _ks_tables(draw):
+    """Two tables of 50-3000 rows (equal counts half the time) and 1-3
+    columns, with ties from rounding, constant columns, or ``b`` a copy."""
+    n = draw(st.integers(50, 3000))
+    m = n if draw(st.booleans()) else draw(st.integers(50, 3000))
+    d = draw(st.integers(1, 3))
+    rng = substream(42, draw(st.integers(0, 2**32)))
+    a = rng.normal(size=(n, d))
+    b = rng.normal(loc=draw(st.sampled_from([0.0, 0.05, 0.5])), size=(m, d))
+    decimals = draw(st.sampled_from([None, None, 0, 1, 2]))
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        a[:, j] = 1.5
+        b[:, j] = draw(st.sampled_from([1.5, -0.25]))
+    if draw(st.integers(0, 5)) == 0:
+        b = a.copy()
+    return a, b
+
+
+@given(_ks_tables())
+@settings(max_examples=300, deadline=None)
+def test_ks_matches_the_ks_2samp_loop_bit_for_bit(tables):
+    a, b = tables
+    got = two_sample_test(a, b)
+    expected = _ks_loop_reference(a, b)
+    assert got == expected
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
 
 
 def test_ks_detects_a_scale_change_with_high_power():

@@ -3,11 +3,12 @@
 Each digest pins the exact bytes one command writes for a fixed input:
 the simulated CSV and truth sidecar, the decision JSON of that dataset,
 the decision on a dataset that takes the linear-only gcm path,
-the benchmark's results and summary tables, the duality report of the
-energy permutation test, the variability report of a parameter table and
-the discrepancy report of two shifted Laplace densities. A refactor that
-keeps the package's outputs must leave every digest unchanged; a change
-that alters an output on purpose must say so and update the digest.
+the benchmark's results and summary tables, the duality reports of the
+KS and energy permutation tests, the variability report of a parameter
+table and the discrepancy report of two shifted Laplace densities. A
+refactor that keeps the package's outputs must leave every digest
+unchanged; a change that alters an output on purpose must say so and
+update the digest.
 """
 
 import hashlib
@@ -67,6 +68,7 @@ GOLDEN = {
     "benchmark/results.csv": "2c063cff3163cd0d4ffeecd7367e9a6faba9dacfdaf00006d71296a3b03b1bdc",
     "benchmark/results.summary.csv": "dc63692557e736eaae5ba258d9a731ff32eaf85044f698c89f3805680d9084cc",
     "duality/energy.json": "75c833d00c52c6432ae08d6a263025910354566c4957b419e899ef1a2eceab79",
+    "duality/ks.json": "c8d676793d48a8a10700d194067ead09846fba28d90ceb97b98dedc50dbca4f6",
     "variability/report.json": "fad804367709695a783a829ca29784f1da5fa3b9bc2f20299f2fb8afcbc597bf",
     "discrepancy/report.json": "3acf04afb760bb2fbd097e76dc3e1a5dc76de1b13981cc969a9c29a66a92ecbf",
 }
@@ -109,9 +111,10 @@ def outputs(tmp_path_factory):
     _run("benchmark", "--config", str(bench_config), "--out", str(root / "benchmark" / "results.csv"))
 
     (root / "duality").mkdir()
-    duality_config = root / "duality.json"
-    duality_config.write_text(json.dumps(DUALITY))
-    _run("duality", "--config", str(duality_config), "--out", str(root / "duality" / "energy.json"))
+    for name, test in (("energy", "energy-permutation"), ("ks", "ks-per-coordinate")):
+        duality_config = root / f"duality_{name}.json"
+        duality_config.write_text(json.dumps(dict(DUALITY, test=test)))
+        _run("duality", "--config", str(duality_config), "--out", str(root / "duality" / f"{name}.json"))
 
     (root / "variability").mkdir()
     params = root / "params.csv"
