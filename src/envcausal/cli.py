@@ -1,7 +1,7 @@
 """Command-line entry point and the seeded benchmark harness.
 
 Subcommands: ``simulate`` (dataset + truth sidecar), ``discover`` (decision
-JSON for a stored dataset), ``benchmark`` (the full accuracy sweep),
+JSON for a stored dataset CSV), ``benchmark`` (the full accuracy sweep),
 ``variability`` (rank report for a parameter table), ``discrepancy``
 (log-ratio derivative check for two closed-form densities), ``duality``
 (two-pipeline equivalence verification).
@@ -149,7 +149,7 @@ def _bench_cell(task: tuple[BenchConfig, VariabilityRegime, int, int]) -> BenchC
     try:
         dgp_config = DGPConfig(n_envs, regime, "random", samples_per_env=config.samples_per_env)
         dataset = simulate_dataset(dgp_config, cell_seed)
-        decision = discover_structure(dataset, config.alpha)
+        decision = discover_structure(dataset.samples, config.alpha)
         if config.include_random_baseline:
             baseline = random_baseline(substream(cell_seed, ROLE_BASELINE))
             baseline_correct = baseline is dataset.truth
@@ -312,13 +312,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    dataset = read_dataset(args.data, args.truth)
-    decision = discover_structure(dataset, args.alpha)
+    decision = discover_structure(read_dataset(args.data), args.alpha)
     _emit(json.dumps(decision.to_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_benchmark(args) -> int:
+    if args.summary and args.out is None:
+        raise InvalidConfig("--summary needs --out")
     config = BenchConfig() if args.config is None else _load_config(args.config, BenchConfig)
     cells, summary = run_benchmark(config, jobs=args.jobs)
     results_text = results_csv_text(cells)
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disc = sub.add_parser("discover", help="decide the structure of a stored dataset")
     p_disc.add_argument("--data", required=True, help="dataset CSV")
-    p_disc.add_argument("--truth", required=True, help="truth sidecar JSON")
+    p_disc.add_argument("--truth", default=None, help="ignored: the decision reads the dataset alone")
     p_disc.add_argument("--alpha", type=float, default=0.05)
     p_disc.add_argument("--out", default=None)
     p_disc.set_defaults(func=_cmd_discover)
@@ -503,6 +504,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         where = f" (line {exc.line})" if exc.line is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_DATA
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import Callable, Literal, Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from ._config import InvalidConfig, as_bool, as_float, convert_fields
+from ._config import InvalidConfig, convert_fields
 from ._streams import (
     ROLE_CAUSE_NOISE,
     ROLE_CAUSE_PARAMS,
@@ -104,10 +103,6 @@ class MultiEnvDataset:
             raise InvalidConfig("params must have shape (E, 4) for E >= 1 environments")
         if self.noise_scale <= 0:
             raise InvalidConfig("noise_scale must be positive and finite")
-
-    @property
-    def n_environments(self) -> int:
-        return self.samples.shape[0]
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,8 @@ def joint_log_density(dataset: MultiEnvDataset) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: dataset CSV plus truth JSON sidecar.
+# Persistence: the dataset CSV, read and written, and the truth JSON
+# sidecar, written only.
 
 _CSV_HEADER = ["env", "sample", "x", "y"]
 
@@ -422,8 +418,9 @@ def _dataset_header_error(header: list[str]) -> str | None:
     return None if header == _CSV_HEADER else f"expected header {','.join(_CSV_HEADER)}"
 
 
-def read_environments_csv(path: str | Path) -> NDArray[np.float64]:
-    """Parse a dataset CSV into its (E, n, 2) sample array.
+def read_dataset(path: str | Path) -> NDArray[np.float64]:
+    """Parse a dataset CSV into its (E, n, 2) sample array, the input of
+    ``discovery.discover_structure``. The truth sidecar is not read.
 
     The (env, sample) indices must fill a rectangle: environments 0..E-1,
     each with samples 0..n-1, in any row order. Errors name the offending
@@ -460,58 +457,3 @@ def read_environments_csv(path: str | Path) -> NDArray[np.float64]:
     samples = np.empty((counts.size, int(counts[0]), 2))
     samples[env, sample] = values
     return samples
-
-
-_PARAM_FIELDS = operator.itemgetter("theta", "psi_loc", "psi_coef", "psi_nonlinear")
-
-
-def _param_table(params) -> NDArray[np.float64]:
-    """The sidecar's params list as an (E, 4) table.
-
-    Rows of three finite floats and a boolean, as write_truth_json writes
-    them, convert in one pass; any other list is walked row by row, which
-    converts it or names its first bad field.
-    """
-    try:
-        columns = tuple(zip(*map(_PARAM_FIELDS, params)))
-    except (KeyError, TypeError):
-        columns = ()
-    if (
-        len(columns) == 4
-        and set(map(type, columns[0] + columns[1] + columns[2])) == {float}
-        and set(map(type, columns[3])) == {bool}
-    ):
-        table = np.array(columns, dtype=np.float64).T
-        if np.all(np.isfinite(table)):
-            return np.ascontiguousarray(table)
-    rows = []
-    for i, p in enumerate(params):
-        try:
-            row = as_float(p["theta"], "theta"), as_float(p["psi_loc"], "psi_loc")
-            row += as_float(p["psi_coef"], "psi_coef"), as_bool(p["psi_nonlinear"], "psi_nonlinear")
-            rows.append(row)
-        except InvalidConfig as exc:
-            raise InvalidConfig(exc.reason, f"params[{i}].{exc.path}") from None
-    return np.array(rows, dtype=np.float64)
-
-
-def read_dataset(csv_path: str | Path, truth_path: str | Path) -> MultiEnvDataset:
-    samples = read_environments_csv(csv_path)
-    try:
-        payload = json.loads(Path(truth_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"truth sidecar is not valid JSON: {exc}")
-    try:
-        return MultiEnvDataset(
-            samples=samples,
-            truth=payload["structure"],
-            regime=payload["regime"],
-            params=_param_table(payload["params"]),
-            seed=payload["seed"],
-            noise_scale=payload.get("noise_scale", 1.0),
-            collapse_noise=payload.get("collapse_noise", False),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if getattr(exc, "path", None) == "truth":  # the sidecar names this field "structure"
-            exc = InvalidConfig(exc.reason, "structure")
-        raise DataFormatError(f"truth sidecar malformed: {exc}")

@@ -49,7 +49,7 @@ from .citest import (
     conditional_independence_test,
     marginal_independence_test,
 )
-from .dgp import CausalStructure, MultiEnvDataset
+from .dgp import CausalStructure
 
 MIN_ENVIRONMENTS = 20
 
@@ -89,16 +89,16 @@ class DiscoveryDecision:
         }
 
 
-def build_cross_sample_pairs(dataset: MultiEnvDataset) -> NDArray[np.float64]:
-    """The first two samples of every environment, a (E, 2, 2) view
-    indexed [environment, sample, (x, y)].
+def build_cross_sample_pairs(samples: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The first two samples of every environment of an (E, n, 2) sample
+    array, a (E, 2, 2) view indexed [environment, sample, (x, y)].
 
     Extra samples beyond the first two are ignored.
     """
-    n = dataset.samples.shape[1]
+    n = samples.shape[1]
     if n < 2:
         raise InsufficientSamples(f"environments have {n} sample(s); need at least 2")
-    return dataset.samples[:, :2]
+    return samples[:, :2]
 
 
 def _decide(
@@ -112,14 +112,20 @@ def _decide(
     return CausalStructure.X_TO_Y if picks_x_to_y else CausalStructure.Y_TO_X
 
 
-def discover_structure(dataset: MultiEnvDataset, alpha: float = 0.05) -> DiscoveryDecision:
-    if dataset.n_environments < MIN_ENVIRONMENTS:
+def discover_structure(samples: NDArray[np.float64], alpha: float = 0.05) -> DiscoveryDecision:
+    """Decide the structure from observations alone: the (E, n, 2) array
+    indexed [environment, sample, (x, y)], as ``dgp.read_dataset`` returns
+    it or ``MultiEnvDataset.samples`` holds it. No ground truth is taken.
+    """
+    if samples.ndim != 3 or samples.shape[2] != 2:
+        raise ValueError(f"samples must have shape (E, n, 2), got {samples.shape}")
+    if samples.shape[0] < MIN_ENVIRONMENTS:
         raise InsufficientEnvironments(
-            f"need at least {MIN_ENVIRONMENTS} environments, got {dataset.n_environments}"
+            f"need at least {MIN_ENVIRONMENTS} environments, got {samples.shape[0]}"
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    pairs = build_cross_sample_pairs(dataset)
+    pairs = build_cross_sample_pairs(samples)
     # Row e holds environment e's samples in both orders: (1, 2), (2, 1).
     x1, y1 = RankScores.of(pairs[..., 0], "x"), RankScores.of(pairs[..., 1], "y")
     x2, y2 = x1.reversed(), y1.reversed()

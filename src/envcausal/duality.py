@@ -369,6 +369,11 @@ def verify_duality(
         a = generate_cause_variability_samples(config, u)
         b = generate_mechanism_variability_samples(mech_config, u)
         stat, p_obs = two_sample_test(a, b, config.test, seed=mix64(config.seed, u, 0))
+        # Rounding can leave every sample of a coordinate on one float, which
+        # both tests would pass; the source tables are functions of these.
+        flat = np.flatnonzero(np.all(np.vstack([a, b]) == a[0], axis=0))
+        if flat.size:
+            raise ValueError(f"u={u}: coordinate {flat[0]} of the observations has no spread")
         _, p_src = two_sample_test(
             config.f.invert(a), config.f.invert(b), config.test, seed=mix64(config.seed, u, 1)
         )

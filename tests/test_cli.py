@@ -18,14 +18,19 @@ from envcausal import cli
 from envcausal._config import read_object
 from envcausal.cli import BenchConfig, main
 from envcausal.dgp import read_dataset, simulate_dataset, DGPConfig
+from envcausal.discovery import discover_structure
 from envcausal.dgp import CausalStructure, InvalidConfig, VariabilityRegime
 from envcausal.duality import DualityConfig, MixingSpec, SourceFamily
 from envcausal.variability import DensitySpec, DiscrepancyQuery
 
 
-def _write_json(path, payload):
-    path.write_text(json.dumps(payload))
+def _write_text(path, text):
+    path.write_text(text)
     return str(path)
+
+
+def _write_json(path, payload):
+    return _write_text(path, json.dumps(payload))
 
 
 @pytest.fixture
@@ -47,9 +52,7 @@ def test_simulate_then_discover_round_trip(tmp_path, dgp_config_path):
     assert data.exists() and truth.exists()
 
     decision_path = tmp_path / "decision.json"
-    code = main(
-        ["discover", "--data", str(data), "--truth", str(truth), "--out", str(decision_path)]
-    )
+    code = main(["discover", "--data", str(data), "--out", str(decision_path)])
     assert code == 0
     decision = json.loads(decision_path.read_text())
     assert set(decision) == {
@@ -67,7 +70,6 @@ def test_simulate_then_discover_round_trip(tmp_path, dgp_config_path):
 def test_simulated_csv_reloads_bit_exactly(tmp_path, dgp_config_path):
     data = tmp_path / "data.csv"
     main(["simulate", "--config", dgp_config_path, "--seed", "8", "--out", str(data)])
-    reloaded = read_dataset(str(data), str(tmp_path / "data.truth.json"))
     direct = simulate_dataset(
         DGPConfig(
             n_environments=60,
@@ -76,14 +78,34 @@ def test_simulated_csv_reloads_bit_exactly(tmp_path, dgp_config_path):
         ),
         8,
     )
-    assert reloaded.truth is direct.truth
-    np.testing.assert_array_equal(reloaded.samples, direct.samples)
+    assert read_dataset(data).tobytes() == direct.samples.tobytes()
+
+
+_TRUTH_ARGS = {
+    "no-truth": lambda tmp_path: [],
+    "real-sidecar": lambda tmp_path: ["--truth", str(tmp_path / "data.truth.json")],
+    "missing-path": lambda tmp_path: ["--truth", str(tmp_path / "absent.truth.json")],
+    "garbled": lambda tmp_path: ["--truth", _write_text(tmp_path / "bad.json", '{"seed": NaN, "params": [')],
+}
+
+
+@pytest.mark.parametrize("truth_args", _TRUTH_ARGS.values(), ids=_TRUTH_ARGS.keys())
+def test_discover_decides_from_the_csv_alone(tmp_path, dgp_config_path, capsys, truth_args):
+    # --truth is accepted for older scripts and never opened: a missing or
+    # garbled sidecar leaves the decision's bytes as they are.
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)]) == 0
+    samples = simulate_dataset(DGPConfig(60, "full_exchangeable", "x_to_y"), 5).samples
+    expected = json.dumps(discover_structure(samples).to_dict(), indent=2) + "\n"
+    capsys.readouterr()
+    assert main(["discover", "--data", str(data)] + truth_args(tmp_path)) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_discover_writes_to_stdout_without_out(tmp_path, dgp_config_path, capsys):
     data = tmp_path / "data.csv"
     main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
-    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    code = main(["discover", "--data", str(data)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert "structure" in payload
@@ -95,7 +117,7 @@ def test_malformed_csv_names_the_line(tmp_path, dgp_config_path, capsys):
     lines = data.read_text().splitlines()
     lines[2] = "0,1,not-a-number,0.5"
     data.write_text("\n".join(lines) + "\n")
-    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    code = main(["discover", "--data", str(data)])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
 
@@ -106,7 +128,7 @@ def test_field_over_the_csv_size_limit_exits_two_with_its_line(tmp_path, dgp_con
     lines = data.read_text().splitlines()
     lines[2] = "0,1," + "1" * 140_000 + ".5,0.5"
     data.write_text("\n".join(lines) + "\n")
-    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    code = main(["discover", "--data", str(data)])
     assert code == 2
     err = capsys.readouterr().err
     assert "field larger than field limit" in err and "line 3" in err
@@ -118,7 +140,7 @@ def test_discover_rejects_unequal_sample_counts(tmp_path, dgp_config_path, capsy
     lines = data.read_text().splitlines()
     del lines[4]  # environment 1 keeps one of its two samples
     data.write_text("\n".join(lines) + "\n")
-    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    code = main(["discover", "--data", str(data)])
     assert code == 2
     assert "equal sample counts" in capsys.readouterr().err
 
@@ -135,72 +157,10 @@ def test_discover_reports_degeneracy_flags(tmp_path, capsys):
     )
     data = tmp_path / "data.csv"
     assert main(["simulate", "--config", config, "--seed", "3", "--out", str(data)]) == 0
-    code = main(["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")])
+    code = main(["discover", "--data", str(data)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert "independent:zero_variance" in payload["flags"]
-
-
-@pytest.mark.parametrize("seed_text", ["1e400", "Infinity", "-Infinity", "NaN"])
-def test_discover_rejects_a_non_finite_truth_seed(tmp_path, dgp_config_path, capsys, seed_text):
-    data = tmp_path / "data.csv"
-    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
-    truth = tmp_path / "data.truth.json"
-    payload = json.loads(truth.read_text())
-    text = json.dumps(dict(payload, seed="SEED")).replace('"SEED"', seed_text)
-    truth.write_text(text)
-    code = main(["discover", "--data", str(data), "--truth", str(truth)])
-    assert code == 2
-    assert "truth sidecar malformed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "garble, message",
-    [
-        (lambda payload: dict(payload, seed=1.5), "seed: expected an integer"),
-        (lambda payload: dict(payload, noise_scale=float("nan")), "noise_scale: expected a finite number"),
-        (
-            lambda payload: dict(
-                payload,
-                params=[dict(payload["params"][0], psi_nonlinear="false")] + payload["params"][1:],
-            ),
-            "params[0].psi_nonlinear: expected true or false",
-        ),
-    ],
-    ids=["fractional-seed", "nan-noise-scale", "string-flag"],
-)
-def test_discover_names_a_sidecar_field_of_the_wrong_type(tmp_path, dgp_config_path, capsys, garble, message):
-    # These used to truncate the seed to 1, read "false" as true, and carry
-    # a NaN noise scale into the dataset, with exit 0.
-    data = tmp_path / "data.csv"
-    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
-    truth = tmp_path / "data.truth.json"
-    truth.write_text(json.dumps(garble(json.loads(truth.read_text()))))
-    assert main(["discover", "--data", str(data), "--truth", str(truth)]) == 2
-    assert capsys.readouterr().err == f"error: truth sidecar malformed: {message}\n"
-
-
-@pytest.mark.parametrize(
-    "garble",
-    [
-        lambda params: [],
-        lambda params: params[:-1],
-        lambda params: params + params[:1],
-        lambda params: params[:-1] + [[0.1, -0.2, 1.5]],
-    ],
-    ids=["empty", "short", "long", "ragged"],
-)
-def test_discover_rejects_a_params_list_that_does_not_match_the_environments(
-    tmp_path, dgp_config_path, capsys, garble
-):
-    data = tmp_path / "data.csv"
-    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
-    truth = tmp_path / "data.truth.json"
-    payload = json.loads(truth.read_text())
-    truth.write_text(json.dumps(dict(payload, params=garble(payload["params"]))))
-    code = main(["discover", "--data", str(data), "--truth", str(truth)])
-    assert code == 2
-    assert "truth sidecar malformed" in capsys.readouterr().err
 
 
 _EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, 2**64, -0.0])
@@ -222,7 +182,7 @@ def _garble(draw, mapping):
 
 @st.composite
 def _dataset_csv(draw):
-    """A rectangular dataset of e environments, one line maybe garbled."""
+    """A rectangular dataset of 19 to 24 environments, one line maybe garbled."""
     e = draw(st.integers(min_value=19, max_value=24))
     n = draw(st.integers(min_value=1, max_value=3))
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -232,44 +192,20 @@ def _dataset_csv(draw):
     ]
     if not draw(st.integers(0, 3)):
         rows[draw(st.integers(0, len(rows) - 1))] = draw(st.text(max_size=20))
-    return "\r\n".join(rows).encode(), e
-
-
-@st.composite
-def _truth_json(draw, n_params):
-    """A valid sidecar for n_params environments, maybe with one field garbled."""
-    params = [
-        {"theta": 0.1, "psi_loc": -0.2, "psi_coef": 1.5, "psi_nonlinear": False}
-        for _ in range(n_params)
-    ]
-    payload = {
-        "structure": draw(st.sampled_from(["x_to_y", "y_to_x", "independent"])),
-        "regime": draw(st.sampled_from(["full_exchangeable", "cause_variability", "iid"])),
-        "seed": draw(st.integers(min_value=0, max_value=2**64 - 1)),
-        "noise_scale": 1.0,
-        "collapse_noise": draw(st.booleans()),
-        "params": params,
-    }
-    where = draw(st.integers(0, 3))
-    if where in (1, 2):
-        _garble(draw, payload)
-    elif where == 3 and params:
-        _garble(draw, params[draw(st.integers(0, n_params - 1))])
-    return json.dumps(payload).encode()
+    return "\r\n".join(rows).encode()
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_discover_fuzzed_inputs_exit_with_a_status_code(tmp_path, data):
-    # Whatever the bytes of the dataset and the values in its sidecar,
-    # discover ends with 0, 1 or 2, never with an uncaught exception.
+    # Whatever the bytes of the dataset, discover ends with 0, 1 or 2,
+    # never with an uncaught exception.
     if data.draw(st.integers(0, 3)):
-        csv_bytes, e = data.draw(_dataset_csv())
+        csv_bytes = data.draw(_dataset_csv())
     else:
-        csv_bytes, e = data.draw(st.binary(max_size=200)), data.draw(st.integers(0, 3))
+        csv_bytes = data.draw(st.binary(max_size=200))
     (tmp_path / "data.csv").write_bytes(csv_bytes)
-    (tmp_path / "truth.json").write_bytes(data.draw(_truth_json(e)))
-    args = ["discover", "--data", str(tmp_path / "data.csv"), "--truth", str(tmp_path / "truth.json")]
+    args = ["discover", "--data", str(tmp_path / "data.csv")]
     assert main(args + ["--out", str(tmp_path / "decision.json")]) in (0, 1, 2)
 
 
@@ -302,7 +238,7 @@ def test_help_exits_cleanly(capsys):
 def test_removed_discover_options_are_usage_errors(tmp_path, dgp_config_path, extra):
     data = tmp_path / "data.csv"
     assert main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)]) == 0
-    args = ["discover", "--data", str(data), "--truth", str(tmp_path / "data.truth.json")]
+    args = ["discover", "--data", str(data)]
     assert main(args + ["--out", str(tmp_path / "decision.json")]) == 0
     assert main(args + extra) == 1
 
@@ -331,13 +267,12 @@ def test_import_and_discover_leave_scipy_stats_unimported(tmp_path, dgp_config_p
     # scipy.stats takes about half a second to import; only the KS
     # duality test loads it.
     data = str(tmp_path / "d.csv")
-    truth = str(tmp_path / "d.truth.json")
     code = "\n".join([
         "import sys",
         "import envcausal",
         f"assert envcausal.main(['simulate', '--config', {dgp_config_path!r}, '--seed', '1',"
         f" '--out', {data!r}]) == 0",
-        f"assert envcausal.main(['discover', '--data', {data!r}, '--truth', {truth!r}]) == 0",
+        f"assert envcausal.main(['discover', '--data', {data!r}]) == 0",
         "print('scipy.stats' in sys.modules)",
     ])
     src = str(Path(envcausal.__file__).resolve().parents[1])
@@ -478,6 +413,15 @@ def test_bad_benchmark_configs_exit_two(tmp_path, payload, capsys):
     config = _write_json(tmp_path / "bench.json", payload)
     assert main(["benchmark", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_benchmark_summary_path_needs_out(tmp_path, capsys, monkeypatch):
+    # It used to run the sweep, print both tables and never write the path.
+    monkeypatch.setattr(cli, "run_benchmark", None)  # the check comes before the sweep
+    summary = tmp_path / "s.csv"
+    assert main(["benchmark", "--summary", str(summary)]) == 2
+    assert capsys.readouterr() == ("", "error: --summary needs --out\n")
+    assert not summary.exists()
 
 
 def test_benchmark_config_must_be_valid_json(tmp_path, capsys):
@@ -755,6 +699,41 @@ def test_duality_names_a_sample_table_that_overflows(tmp_path, capsys, test):
         assert _run_config(tmp_path, "duality", payload) == 2
     assert capsys.readouterr().err == "error: a contains non-finite values\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("location", [1e308, 1.7e308])
+def test_duality_rejects_observations_rounded_to_one_value(tmp_path, capsys, location):
+    # Every sample of a coordinate rounds to the location; both tests used
+    # to see constant columns and report statistic 0, p 1 and a pass.
+    family = {"family": "gaussian", "location": [location, location], "scale": [1.0, 1.0]}
+    payload = dict(
+        _DUAL, f={"kind": "triangular-affine-tanh", "d": 2, "seed": 3}, base=family, per_u=[family]
+    )
+    assert _run_config(tmp_path, "duality", payload) == 2
+    assert capsys.readouterr().err == "error: u=0: coordinate 0 of the observations has no spread\n"
+    assert not (tmp_path / "out").exists()
+
+
+_HUGE = 10**13  # elements; numpy refuses the allocation at once
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [
+            "discrepancy", "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
+            "--grid-points", str(_HUGE),
+        ],
+        ["duality", "--config", dict(_DUAL, n_samples=_HUGE)],
+    ],
+    ids=["discrepancy-grid", "duality-samples"],
+)
+def test_sizes_numpy_cannot_allocate_exit_two(tmp_path, capsys, args):
+    # These used to end in a raw numpy._core._exceptions._ArrayMemoryError traceback.
+    args = [_write_json(tmp_path / "c.json", a) if isinstance(a, dict) else a for a in args]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -22,7 +22,6 @@ from envcausal.dgp import (
     joint_log_density,
     read_csv_table,
     read_dataset,
-    read_environments_csv,
     sample_definetti_params,
     simulate_dataset,
     simulate_with_params,
@@ -170,7 +169,6 @@ def test_simulate_shapes_and_determinism():
     config = _config(FULL, CausalStructure.X_TO_Y, e=500, n=2)
     a = simulate_dataset(config, 7)
     b = simulate_dataset(config, 7)
-    assert a.n_environments == 500
     assert a.samples.shape == (500, 2, 2)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert np.array_equal(a.params, b.params) and a.truth is b.truth
@@ -367,21 +365,23 @@ def test_csv_round_trip_is_exact(tmp_path):
     truth_path = tmp_path / "d.truth.json"
     write_dataset_csv(dataset, csv_path)
     write_truth_json(dataset, truth_path)
-    loaded = read_dataset(csv_path, truth_path)
-    assert loaded.truth is dataset.truth
-    assert loaded.regime is dataset.regime
-    assert loaded.seed == dataset.seed
-    assert loaded.params.dtype == np.float64
-    assert np.array_equal(loaded.params, dataset.params)
-    np.testing.assert_array_equal(loaded.samples, dataset.samples)
-    assert joint_log_density(loaded) == joint_log_density(dataset)
+    loaded = read_dataset(csv_path)
+    assert loaded.dtype == np.float64 and loaded.tobytes() == dataset.samples.tobytes()
+    payload = json.loads(truth_path.read_text())
+    assert (payload["structure"], payload["regime"], payload["seed"]) == (
+        dataset.truth.value, dataset.regime.value, dataset.seed
+    )
+    fields = ("theta", "psi_loc", "psi_coef", "psi_nonlinear")
+    assert all(type(row["psi_nonlinear"]) is bool for row in payload["params"])
+    params = np.array([[row[f] for f in fields] for row in payload["params"]], dtype=np.float64)
+    assert params.tobytes() == dataset.params.tobytes()
 
 
 def test_reader_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("environment,sample,x,y\n0,0,1.0,2.0\n")
     with pytest.raises(DataFormatError) as err:
-        read_environments_csv(path)
+        read_dataset(path)
     assert err.value.line == 1
 
 
@@ -389,7 +389,7 @@ def test_reader_names_the_malformed_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("env,sample,x,y\n0,0,1.0,2.0\n0,1,oops,2.0\n")
     with pytest.raises(DataFormatError) as err:
-        read_environments_csv(path)
+        read_dataset(path)
     assert err.value.line == 3
 
 
@@ -397,14 +397,14 @@ def test_reader_rejects_gapped_environments(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("env,sample,x,y\n0,0,1.0,2.0\n0,1,1.0,2.0\n2,0,1.0,2.0\n2,1,1.0,2.0\n")
     with pytest.raises(DataFormatError, match="contiguous"):
-        read_environments_csv(path)
+        read_dataset(path)
 
 
 def test_reader_rejects_non_finite_values(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("env,sample,x,y\n0,0,inf,2.0\n")
     with pytest.raises(DataFormatError) as err:
-        read_environments_csv(path)
+        read_dataset(path)
     assert err.value.line == 2
 
 
@@ -412,14 +412,14 @@ def test_reader_rejects_unequal_sample_counts(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("env,sample,x,y\n0,0,1.0,2.0\n0,1,1.0,2.0\n1,0,1.0,2.0\n")
     with pytest.raises(DataFormatError, match="equal sample counts"):
-        read_environments_csv(path)
+        read_dataset(path)
 
 
 def test_reader_places_rows_by_their_indices(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("env,sample,x,y\n1,1,7.0,8.0\n0,0,1.0,2.0\n1,0,5.0,6.0\n\n0,1,3.0,4.0\n")
     np.testing.assert_array_equal(
-        read_environments_csv(path), [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]]
+        read_dataset(path), [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]]
     )
 
 
@@ -456,7 +456,7 @@ def _oracle_csv_table(path):
 
 
 def _oracle_environments(path):
-    """read_environments_csv as it was: every row order sorted."""
+    """read_dataset as it was: every row order sorted."""
     index, values, _ = _oracle_csv_table(path)
     if index.shape[0] == 0:
         raise DataFormatError("dataset contains no rows", line=2)
@@ -536,7 +536,7 @@ def _dataset_header_error(header):
 def _assert_readers_agree(path):
     table = _outcome(lambda p: read_csv_table(p, "dataset", _dataset_header_error, 2), path)
     assert table == _outcome(_oracle_csv_table, path)
-    assert _outcome(read_environments_csv, path) == _outcome(_oracle_environments, path)
+    assert _outcome(read_dataset, path) == _outcome(_oracle_environments, path)
 
 
 @given(st.data())
@@ -591,7 +591,7 @@ def test_reader_reads_written_rows_in_order_and_shuffled_the_same(tmp_path):
     shuffled = tmp_path / "shuffled.csv"
     shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
     for p in (path, shuffled):
-        samples = read_environments_csv(p)
+        samples = read_dataset(p)
         assert samples.flags.c_contiguous
         assert samples.tobytes() == dataset.samples.tobytes()
 
@@ -646,43 +646,3 @@ def test_simulate_with_params_requires_an_environment_by_four_table(params):
         simulate_with_params(
             _config(IID, CausalStructure.X_TO_Y, e=2), CausalStructure.X_TO_Y, params, seed=0
         )
-
-
-@pytest.mark.parametrize(
-    "theta, message",
-    [
-        (-1, None),
-        (2**1100, "params[1].theta: expected a finite number"),
-        (True, "params[1].theta: expected a number"),
-        ("0.5", "params[1].theta: expected a number"),
-        (float("nan"), "params[1].theta: expected a finite number"),
-    ],
-)
-def test_sidecar_params_off_the_bulk_path_convert_row_by_row(tmp_path, theta, message):
-    # Only floats and booleans convert in bulk; an integer still converts,
-    # and anything else is named by its field.
-    dataset = simulate_dataset(_config(FULL, CausalStructure.X_TO_Y, e=3), 4)
-    write_dataset_csv(dataset, tmp_path / "d.csv")
-    write_truth_json(dataset, tmp_path / "d.truth.json")
-    payload = json.loads((tmp_path / "d.truth.json").read_text())
-    payload["params"][1]["theta"] = theta
-    (tmp_path / "d.truth.json").write_text(json.dumps(payload))
-    if message is None:
-        params = read_dataset(tmp_path / "d.csv", tmp_path / "d.truth.json").params
-        assert params[1, 0] == theta and np.array_equal(np.delete(params, 1, 0), np.delete(dataset.params, 1, 0))
-    else:
-        with pytest.raises(DataFormatError) as err:
-            read_dataset(tmp_path / "d.csv", tmp_path / "d.truth.json")
-        assert str(err.value) == f"truth sidecar malformed: {message}"
-
-
-def test_truth_sidecar_errors(tmp_path):
-    csv_path = tmp_path / "d.csv"
-    csv_path.write_text("env,sample,x,y\n0,0,1.0,2.0\n0,1,3.0,4.0\n")
-    truth_path = tmp_path / "d.truth.json"
-    truth_path.write_text("{not json")
-    with pytest.raises(DataFormatError, match="JSON"):
-        read_dataset(csv_path, truth_path)
-    truth_path.write_text(json.dumps({"structure": "x_to_y", "regime": "iid", "seed": 0}))
-    with pytest.raises(DataFormatError, match="malformed"):
-        read_dataset(csv_path, truth_path)

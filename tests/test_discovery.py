@@ -1,7 +1,5 @@
 """Structure decision rule: pairing, alpha-gated selection, symmetries."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from envcausal.citest import (
 from envcausal.dgp import (
     CausalStructure,
     DGPConfig,
-    MultiEnvDataset,
     VariabilityRegime,
     simulate_dataset,
     simulate_with_params,
@@ -44,17 +41,13 @@ def _dataset(regime, structure, e=100, seed=0, **kw):
     )
 
 
-def _with_samples(dataset, samples, truth=None):
-    return dataclasses.replace(dataset, samples=samples, truth=truth or dataset.truth)
-
-
 # ---------------------------------------------------------------------------
 # Pair construction.
 
 
 def test_pairs_use_first_two_samples_in_order():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=3)
-    pairs = build_cross_sample_pairs(dataset)
+    pairs = build_cross_sample_pairs(dataset.samples)
     assert pairs.shape == (3, 2, 2)
     np.testing.assert_array_equal(pairs, dataset.samples[:, :2])
 
@@ -63,7 +56,7 @@ def test_pairs_ignore_extra_samples():
     two = _dataset(IID, CausalStructure.X_TO_Y, e=5, seed=9, samples_per_env=2)
     five = _dataset(IID, CausalStructure.X_TO_Y, e=5, seed=9, samples_per_env=5)
     np.testing.assert_array_equal(
-        build_cross_sample_pairs(two), build_cross_sample_pairs(five)
+        build_cross_sample_pairs(two.samples), build_cross_sample_pairs(five.samples)
     )
 
 
@@ -71,7 +64,7 @@ def test_pairs_reject_single_sample_environment():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=4, samples_per_env=1)
     assert dataset.samples.shape == (4, 1, 2)
     with pytest.raises(InsufficientSamples, match="need at least 2"):
-        build_cross_sample_pairs(dataset)
+        build_cross_sample_pairs(dataset.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +78,7 @@ def test_directed_truth_recovery_rate_under_full_variability():
     for s in range(100):
         truth = CausalStructure.X_TO_Y if s % 2 == 0 else CausalStructure.Y_TO_X
         dataset = _dataset(FULL, truth, e=500, seed=s)
-        correct += discover_structure(dataset).structure is truth
+        correct += discover_structure(dataset.samples).structure is truth
     assert correct >= 91
 
 
@@ -97,7 +90,7 @@ def test_independent_truth_recovered_unless_marginal_test_rejects():
     correct = 0
     for s in range(100):
         dataset = _dataset(FULL, CausalStructure.INDEPENDENT, e=500, seed=s)
-        correct += discover_structure(dataset).structure is CausalStructure.INDEPENDENT
+        correct += discover_structure(dataset.samples).structure is CausalStructure.INDEPENDENT
     assert correct >= 86
 
 
@@ -106,7 +99,7 @@ def test_iid_regime_keeps_direction_recovery_at_chance():
     for s in range(100):
         truth = CausalStructure.X_TO_Y if s % 2 == 0 else CausalStructure.Y_TO_X
         dataset = _dataset(IID, truth, e=500, seed=s)
-        correct += discover_structure(dataset).structure is truth
+        correct += discover_structure(dataset.samples).structure is truth
     assert 35 <= correct <= 65
 
 
@@ -121,22 +114,22 @@ def _gated(p_x_to_y, p_y_to_x, p_independent, alpha):
 @pytest.mark.parametrize("seed", range(4, 9))
 def test_decision_follows_the_alpha_gated_rule(seed):
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=60, seed=seed)
-    decision = discover_structure(dataset, alpha=0.17)
+    decision = discover_structure(dataset.samples, alpha=0.17)
     assert decision.alpha == 0.17
     p = (decision.p_x_to_y, decision.p_y_to_x, decision.p_independent)
     assert decision.structure is _gated(*p, 0.17)
     # Alpha moves the marginal gate: just below p_independent the answer
     # is "independent", just above it is a direction.
     assert 0.0 < decision.p_independent < 0.5
-    low = discover_structure(dataset, alpha=decision.p_independent / 2)
-    high = discover_structure(dataset, alpha=decision.p_independent * 2)
+    low = discover_structure(dataset.samples, alpha=decision.p_independent / 2)
+    high = discover_structure(dataset.samples, alpha=decision.p_independent * 2)
     assert low.structure is CausalStructure.INDEPENDENT
     assert high.structure is _gated(*p, decision.p_independent * 2)
     assert high.structure is not CausalStructure.INDEPENDENT
 
 
 def _gcm_p_values(dataset, linear_only):
-    pairs = build_cross_sample_pairs(dataset)
+    pairs = build_cross_sample_pairs(dataset.samples)
     x1, y1 = pairs[..., 0], pairs[..., 1]
     x2, y2 = x1[:, ::-1], y1[:, ::-1]
     marginal = marginal_independence_test(x1, y1)
@@ -152,7 +145,7 @@ def test_shared_coupling_sign_gates_gcm_to_the_linear_pair():
     # dependence and the conditional tests keep that pair alone.
     shared = _dataset(CAUSE, CausalStructure.X_TO_Y, e=300, seed=2)
     gated, expected = _gcm_p_values(shared, linear_only=True)
-    decision = discover_structure(shared)
+    decision = discover_structure(shared.samples)
     assert gated
     assert (decision.p_x_to_y, decision.p_y_to_x, decision.p_independent) == expected
     # Coupling signs alternate between environments: the linear moment
@@ -161,7 +154,7 @@ def test_shared_coupling_sign_gates_gcm_to_the_linear_pair():
     params = [[0.0, 0.0, (-1.0) ** e, 0.0] for e in range(300)]
     flipping = simulate_with_params(config, CausalStructure.X_TO_Y, params, seed=2)
     gated, expected = _gcm_p_values(flipping, linear_only=False)
-    decision = discover_structure(flipping)
+    decision = discover_structure(flipping.samples)
     assert not gated
     assert (decision.p_x_to_y, decision.p_y_to_x, decision.p_independent) == expected
 
@@ -198,8 +191,6 @@ def test_decision_equals_the_three_tests_on_plain_arrays_bit_for_bit(inputs):
     # raw arrays rank every argument afresh. Ranks are exact, so nothing
     # may differ, not even in the last bit.
     samples, alpha = inputs
-    e = samples.shape[0]
-    dataset = MultiEnvDataset(samples, CausalStructure.X_TO_Y, FULL, np.zeros((e, 4)), 0)
     x1, y1 = samples[:, :2, 0], samples[:, :2, 1]
     marginal = marginal_independence_test(x1, y1)
     linear = bool(marginal.components) and marginal.components[0] > discovery._LINEAR_GATE
@@ -207,7 +198,7 @@ def test_decision_equals_the_three_tests_on_plain_arrays_bit_for_bit(inputs):
     x_to_y = conditional_independence_test(y1, x1[:, ::-1], x1, **moments)
     y_to_x = conditional_independence_test(x1, y1[:, ::-1], y1, **moments)
     results = {"x_to_y": x_to_y, "y_to_x": y_to_x, "independent": marginal}
-    decision = discover_structure(dataset, alpha=alpha)
+    decision = discover_structure(samples, alpha=alpha)
     assert decision.structure is _decide(x_to_y.p_value, y_to_x.p_value, marginal.p_value, alpha)
     got = [decision.p_x_to_y, decision.p_y_to_x, decision.p_independent]
     assert [p.hex() for p in got] == [r.p_value.hex() for r in results.values()]
@@ -225,7 +216,7 @@ def test_directions_tied_up_to_rounding_decide_x_to_y():
     params[:, 0] = np.linspace(-1.0, 1.0, e)
     params[:, 1:3] = 0.5, -0.8
     dataset = simulate_with_params(config, CausalStructure.Y_TO_X, params, seed=1)
-    decision = discover_structure(dataset)
+    decision = discover_structure(dataset.samples)
     assert decision.p_independent < decision.alpha
     assert decision.p_x_to_y == pytest.approx(decision.p_y_to_x, rel=1e-11, abs=0.0)
     assert decision.structure is CausalStructure.X_TO_Y
@@ -244,17 +235,24 @@ def test_directed_truth_recovery_rate_under_cause_variability():
     correct = 0
     for s in range(50):
         truth = CausalStructure.X_TO_Y if s % 2 == 0 else CausalStructure.Y_TO_X
-        correct += discover_structure(_dataset(CAUSE, truth, e=500, seed=s)).structure is truth
+        samples = _dataset(CAUSE, truth, e=500, seed=s).samples
+        correct += discover_structure(samples).structure is truth
     assert correct >= 40
 
 
 def test_alpha_and_environment_count_validation():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=19)
     with pytest.raises(InsufficientEnvironments):
-        discover_structure(dataset)
+        discover_structure(dataset.samples)
     ok = _dataset(FULL, CausalStructure.X_TO_Y, e=20)
     with pytest.raises(ValueError, match="alpha"):
-        discover_structure(ok, alpha=0.0)
+        discover_structure(ok.samples, alpha=0.0)
+
+
+@pytest.mark.parametrize("shape", [(40, 2), (40, 2, 3), (40, 2, 2, 1)])
+def test_decision_requires_an_environment_by_sample_by_pair_array(shape):
+    with pytest.raises(ValueError, match=r"shape \(E, n, 2\)"):
+        discover_structure(np.zeros(shape))
 
 
 def test_degenerate_dataset_is_decided_independent():
@@ -264,7 +262,7 @@ def test_degenerate_dataset_is_decided_independent():
     dataset = _dataset(
         IID, CausalStructure.INDEPENDENT, e=20, seed=1, collapse_noise=True
     )
-    decision = discover_structure(dataset)
+    decision = discover_structure(dataset.samples)
     assert decision.p_x_to_y == decision.p_y_to_x == decision.p_independent == 1.0
     assert decision.structure is CausalStructure.INDEPENDENT
     assert any("zero_variance" in f for f in decision.flags)
@@ -272,7 +270,7 @@ def test_degenerate_dataset_is_decided_independent():
 
 def test_to_dict_round_trips_the_reported_fields():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=40, seed=6)
-    decision = discover_structure(dataset)
+    decision = discover_structure(dataset.samples)
     payload = decision.to_dict()
     assert set(payload) == {
         "structure",
@@ -292,10 +290,8 @@ def test_to_dict_round_trips_the_reported_fields():
 
 def test_label_symmetry_swaps_direction_and_p_values():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=120, seed=3)
-    swapped = _with_samples(
-        dataset, dataset.samples[..., ::-1].copy(), truth=CausalStructure.Y_TO_X
-    )
-    original = discover_structure(dataset)
+    swapped = dataset.samples[..., ::-1].copy()
+    original = discover_structure(dataset.samples)
     mirrored = discover_structure(swapped)
     assert mirrored.p_x_to_y == original.p_y_to_x
     assert mirrored.p_y_to_x == original.p_x_to_y
@@ -313,11 +309,9 @@ def test_label_symmetry_holds_on_the_linear_gcm_path():
     config = DGPConfig(n_environments=300, regime=CAUSE, structure=CausalStructure.X_TO_Y)
     params = [[theta, 0.0, 2.0, 0.0] for theta in np.linspace(-1.0, 1.0, 300)]
     dataset = simulate_with_params(config, CausalStructure.X_TO_Y, params, seed=3)
-    swapped = _with_samples(
-        dataset, dataset.samples[..., ::-1].copy(), truth=CausalStructure.Y_TO_X
-    )
+    swapped = dataset.samples[..., ::-1].copy()
     assert _gcm_p_values(dataset, linear_only=True)[0]
-    original = discover_structure(dataset)
+    original = discover_structure(dataset.samples)
     mirrored = discover_structure(swapped)
     assert mirrored.p_x_to_y == original.p_y_to_x
     assert mirrored.p_y_to_x == original.p_x_to_y
@@ -327,14 +321,8 @@ def test_label_symmetry_holds_on_the_linear_gcm_path():
 def test_environment_order_does_not_matter():
     dataset = _dataset(FULL, CausalStructure.Y_TO_X, e=80, seed=8)
     order = np.random.default_rng(0).permutation(80)
-    permuted = MultiEnvDataset(
-        samples=dataset.samples[order],
-        truth=dataset.truth,
-        regime=dataset.regime,
-        params=dataset.params[order],
-        seed=dataset.seed,
-    )
-    a = discover_structure(dataset)
+    permuted = dataset.samples[order]
+    a = discover_structure(dataset.samples)
     b = discover_structure(permuted)
     # Reordering only changes float summation order inside the correlations.
     assert b.p_x_to_y == pytest.approx(a.p_x_to_y, abs=1e-12)
@@ -347,8 +335,8 @@ def test_within_environment_sample_swap_preserves_accuracy():
     plain = swapped_hits = 0
     for s in range(100):
         dataset = _dataset(FULL, "random", e=100, seed=s)
-        plain += discover_structure(dataset).structure is dataset.truth
-        swapped = _with_samples(dataset, dataset.samples[:, ::-1].copy())
+        plain += discover_structure(dataset.samples).structure is dataset.truth
+        swapped = dataset.samples[:, ::-1].copy()
         swapped_hits += discover_structure(swapped).structure is dataset.truth
     assert abs(plain - swapped_hits) / 100 < 0.05
 

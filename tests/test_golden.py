@@ -1,8 +1,9 @@
 """Byte-identity guard: sha256 digests of fixed command-line outputs.
 
 Each digest pins the exact bytes one command writes for a fixed input:
-the simulated CSV and truth sidecar, the decision JSON of that dataset,
-the decision on a dataset that takes the linear-only gcm path,
+the simulated CSV and truth sidecar, the decision JSON of that dataset
+(read from the CSV alone), the decision on a dataset that takes the
+linear-only gcm path,
 the benchmark's results and summary tables, the duality reports of the
 KS and energy permutation tests, the variability report of a parameter
 table and the discrepancy report of two shifted Laplace densities. A
@@ -93,7 +94,6 @@ def outputs(tmp_path_factory):
     _run(
         "discover",
         "--data", str(full / "data.csv"),
-        "--truth", str(full / "data.truth.json"),
         "--out", str(root / "discover" / "gcm.json"),
     )
 
@@ -101,7 +101,6 @@ def outputs(tmp_path_factory):
     _run(
         "discover",
         "--data", str(cause / "data.csv"),
-        "--truth", str(cause / "data.truth.json"),
         "--out", str(root / "discover" / "cause_linear_gcm.json"),
     )
 
