@@ -23,7 +23,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,12 +66,6 @@ _REGIME_CODES = {
     VariabilityRegime.IID: 3,
 }
 
-RESULTS_HEADER = (
-    "regime,truth,n_envs,seed,decision,p_x_to_y,p_y_to_x,p_independent,"
-    "correct,baseline_decision,baseline_correct"
-)
-SUMMARY_HEADER = "regime,n_envs,accuracy_mean,accuracy_std,baseline_accuracy,n_cells"
-
 # run_benchmark holds every cell's task, its BenchCell and its CSV line
 # until the end: ~820 bytes per cell at peak (tracemalloc, 100,000 cells,
 # CPython 3.11), so this many cells stay under 1 GB.
@@ -93,7 +88,6 @@ class BenchConfig:
     samples_per_env: int = 2
     alpha: float = 0.05
     master_seed: int = 0
-    include_random_baseline: bool = True
 
     def __post_init__(self):
         convert_fields(self)
@@ -129,8 +123,8 @@ class BenchCell:
     p_y_to_x: float
     p_independent: float
     correct: bool
-    baseline_decision: Optional[CausalStructure]
-    baseline_correct: Optional[bool]
+    baseline_decision: CausalStructure
+    baseline_correct: bool
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,7 @@ class SummaryRow:
     n_envs: int
     accuracy_mean: float
     accuracy_std: float
-    baseline_accuracy: Optional[float]
+    baseline_accuracy: float
     n_cells: int
 
 
@@ -150,11 +144,7 @@ def _bench_cell(task: tuple[BenchConfig, VariabilityRegime, int, int]) -> BenchC
         dgp_config = DGPConfig(n_envs, regime, "random", samples_per_env=config.samples_per_env)
         dataset = simulate_dataset(dgp_config, cell_seed)
         decision = discover_structure(dataset.samples, config.alpha)
-        if config.include_random_baseline:
-            baseline = random_baseline(substream(cell_seed, ROLE_BASELINE))
-            baseline_correct = baseline is dataset.truth
-        else:
-            baseline, baseline_correct = None, None
+        baseline = random_baseline(substream(cell_seed, ROLE_BASELINE))
     except Exception as exc:
         raise RuntimeError(
             f"benchmark cell (regime={regime.value}, n_envs={n_envs}, seed={seed_idx}) failed: {exc}"
@@ -170,7 +160,7 @@ def _bench_cell(task: tuple[BenchConfig, VariabilityRegime, int, int]) -> BenchC
         p_independent=decision.p_independent,
         correct=decision.structure is dataset.truth,
         baseline_decision=baseline,
-        baseline_correct=baseline_correct,
+        baseline_correct=baseline is dataset.truth,
     )
 
 
@@ -197,26 +187,21 @@ def run_benchmark(config: BenchConfig, jobs: int = 1) -> tuple[list[BenchCell], 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_bench_cell, tasks, chunksize=chunk))
 
+    # Tasks run (regime, n_envs) block by block, n_seeds cells each.
     summary: list[SummaryRow] = []
-    for regime in config.regimes:
-        for n_envs in config.env_grid:
-            block = [c for c in cells if c.regime is regime and c.n_envs == n_envs]
-            hits = np.array([c.correct for c in block], dtype=np.float64)
-            std = float(np.std(hits, ddof=1)) if hits.size > 1 else 0.0
-            if config.include_random_baseline:
-                base_acc = float(np.mean([c.baseline_correct for c in block]))
-            else:
-                base_acc = None
-            summary.append(
-                SummaryRow(
-                    regime=regime,
-                    n_envs=n_envs,
-                    accuracy_mean=float(hits.mean()),
-                    accuracy_std=std,
-                    baseline_accuracy=base_acc,
-                    n_cells=len(block),
-                )
+    for start in range(0, len(cells), config.n_seeds):
+        block = cells[start : start + config.n_seeds]
+        hits = np.array([c.correct for c in block], dtype=np.float64)
+        summary.append(
+            SummaryRow(
+                regime=block[0].regime,
+                n_envs=block[0].n_envs,
+                accuracy_mean=float(hits.mean()),
+                accuracy_std=float(np.std(hits, ddof=1)) if hits.size > 1 else 0.0,
+                baseline_accuracy=float(np.mean([c.baseline_correct for c in block])),
+                n_cells=len(block),
             )
+        )
     return cells, summary
 
 
@@ -230,51 +215,21 @@ def per_structure_accuracy(cells: Sequence[BenchCell]) -> dict[CausalStructure, 
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_value(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
-def results_csv_text(cells: Sequence[BenchCell]) -> str:
-    lines = [RESULTS_HEADER]
-    for c in cells:
-        baseline = "" if c.baseline_decision is None else c.baseline_decision.value
-        baseline_ok = "" if c.baseline_correct is None else str(c.baseline_correct).lower()
-        lines.append(
-            ",".join(
-                [
-                    c.regime.value,
-                    c.truth.value,
-                    str(c.n_envs),
-                    str(c.seed),
-                    c.decision.value,
-                    _fmt(c.p_x_to_y),
-                    _fmt(c.p_y_to_x),
-                    _fmt(c.p_independent),
-                    str(c.correct).lower(),
-                    baseline,
-                    baseline_ok,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def summary_csv_text(rows: Sequence[SummaryRow]) -> str:
-    lines = [SUMMARY_HEADER]
-    for r in rows:
-        base = "" if r.baseline_accuracy is None else _fmt(r.baseline_accuracy)
-        lines.append(
-            ",".join(
-                [
-                    r.regime.value,
-                    str(r.n_envs),
-                    _fmt(r.accuracy_mean),
-                    _fmt(r.accuracy_std),
-                    base,
-                    str(r.n_cells),
-                ]
-            )
-        )
+def csv_text(rows: Sequence) -> str:
+    """CSV of non-empty dataclass rows: one column per field, in declaration order."""
+    names = [f.name for f in fields(rows[0])]
+    lines = [",".join(names)]
+    lines += [",".join(_csv_value(getattr(row, name)) for name in names) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -320,10 +275,12 @@ def _cmd_discover(args) -> int:
 def _cmd_benchmark(args) -> int:
     if args.summary and args.out is None:
         raise InvalidConfig("--summary needs --out")
+    if args.summary and Path(args.summary).resolve() == Path(args.out).resolve():
+        raise InvalidConfig("--summary must differ from --out")
     config = BenchConfig() if args.config is None else _load_config(args.config, BenchConfig)
     cells, summary = run_benchmark(config, jobs=args.jobs)
-    results_text = results_csv_text(cells)
-    summary_text = summary_csv_text(summary)
+    results_text = csv_text(cells)
+    summary_text = csv_text(summary)
     if args.out is None:
         sys.stdout.write(results_text)
         sys.stdout.write("\n")

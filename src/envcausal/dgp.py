@@ -128,6 +128,14 @@ class DGPConfig:
             raise InvalidConfig("coef_magnitude_range must satisfy 0 < low <= high < inf")
 
 
+def _varying_sides(regime: VariabilityRegime) -> tuple[bool, bool]:
+    """(cause side varies, mechanism side varies) across environments."""
+    return (
+        regime in (VariabilityRegime.FULL_EXCHANGEABLE, VariabilityRegime.CAUSE_VARIABILITY),
+        regime in (VariabilityRegime.FULL_EXCHANGEABLE, VariabilityRegime.MECHANISM_VARIABILITY),
+    )
+
+
 def sample_definetti_params(
     config: DGPConfig, structure: CausalStructure, rng: np.random.Generator
 ) -> NDArray[np.float64]:
@@ -140,10 +148,7 @@ def sample_definetti_params(
     structure = CausalStructure(structure)
     cause_rng, mech_rng = rng.spawn(2)
     e = config.n_environments
-    regime = config.regime
-
-    cause_varies = regime in (VariabilityRegime.FULL_EXCHANGEABLE, VariabilityRegime.CAUSE_VARIABILITY)
-    mech_varies = regime in (VariabilityRegime.FULL_EXCHANGEABLE, VariabilityRegime.MECHANISM_VARIABILITY)
+    cause_varies, mech_varies = _varying_sides(config.regime)
 
     # numpy's uniform(low, high) is low + (high - low) * random(), so these
     # blocks repeat per-environment scalar draws (psi: location, sign,
@@ -166,13 +171,6 @@ def _resolve_structure(config: DGPConfig, seed: int) -> CausalStructure:
     if config.structure != "random":
         return config.structure
     return tuple(CausalStructure)[int(substream(seed, ROLE_STRUCTURE).integers(3))]
-
-
-def _delta_sides(regime: VariabilityRegime) -> tuple[bool, bool]:
-    """(cause side pinned, mechanism side pinned) for the regime."""
-    cause_pinned = regime in (VariabilityRegime.MECHANISM_VARIABILITY, VariabilityRegime.IID)
-    mech_pinned = regime in (VariabilityRegime.CAUSE_VARIABILITY, VariabilityRegime.IID)
-    return cause_pinned, mech_pinned
 
 
 def _param_columns(table: NDArray[np.float64]):
@@ -208,9 +206,9 @@ def simulate_with_params(
         raise InvalidConfig("params must have shape (n_environments, 4)")
     n, b = config.samples_per_env, config.noise_scale
     theta, psi_loc, coef, nonlinear = _param_columns(params)
-    cause_pinned, mech_pinned = _delta_sides(config.regime)
-    s_c = _noise_block(seed, ROLE_CAUSE_NOISE, theta, b, n, config.collapse_noise and cause_pinned)
-    s_e = _noise_block(seed, ROLE_MECH_NOISE, psi_loc, b, n, config.collapse_noise and mech_pinned)
+    cause_varies, mech_varies = _varying_sides(config.regime)
+    s_c = _noise_block(seed, ROLE_CAUSE_NOISE, theta, b, n, config.collapse_noise and not cause_varies)
+    s_e = _noise_block(seed, ROLE_MECH_NOISE, psi_loc, b, n, config.collapse_noise and not mech_varies)
 
     effect = coef * s_c + s_e
     effect = np.where(nonlinear, effect + coef * s_c**2, effect)

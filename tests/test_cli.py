@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes and file formats."""
 
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -354,7 +355,7 @@ def test_benchmark_workers_are_bounded_by_cells_and_cores(monkeypatch, n_seeds, 
     config = BenchConfig(env_grid=(20,), n_seeds=n_seeds, regimes=("iid",))
     cells, _ = cli.run_benchmark(config, jobs=jobs)
     assert started == ([] if workers is None else [workers])
-    assert cli.results_csv_text(cells) == cli.results_csv_text(cli.run_benchmark(config)[0])
+    assert cli.csv_text(cells) == cli.csv_text(cli.run_benchmark(config)[0])
 
 
 def test_single_cell_benchmark_has_zero_std(tmp_path):
@@ -367,24 +368,6 @@ def test_single_cell_benchmark_has_zero_std(tmp_path):
     assert len(out.read_text().splitlines()) == 2
     summary_row = (tmp_path / "one.summary.csv").read_text().splitlines()[1].split(",")
     assert summary_row[3] == "0"  # lone cell leaves no spread to estimate
-
-
-def test_benchmark_without_baseline_leaves_columns_empty(tmp_path):
-    config = _write_json(
-        tmp_path / "bench.json",
-        {
-            "env_grid": [20],
-            "n_seeds": 2,
-            "regimes": ["iid"],
-            "include_random_baseline": False,
-        },
-    )
-    out = tmp_path / "nobase.csv"
-    assert main(["benchmark", "--config", config, "--out", str(out)]) == 0
-    for row in out.read_text().splitlines()[1:]:
-        assert row.split(",")[9:] == ["", ""]
-    summary_row = (tmp_path / "nobase.summary.csv").read_text().splitlines()[1]
-    assert summary_row.split(",")[4] == ""
 
 
 def test_benchmark_stdout_mode_prints_tables_and_comments(tmp_path, capsys):
@@ -407,6 +390,7 @@ def test_benchmark_stdout_mode_prints_tables_and_comments(tmp_path, capsys):
         {"env_grid": []},
         {"alpha": 1.5},
         {"n_seeds": 0},
+        {"include_random_baseline": False},  # the baseline is always written
     ],
 )
 def test_bad_benchmark_configs_exit_two(tmp_path, payload, capsys):
@@ -422,6 +406,40 @@ def test_benchmark_summary_path_needs_out(tmp_path, capsys, monkeypatch):
     assert main(["benchmark", "--summary", str(summary)]) == 2
     assert capsys.readouterr() == ("", "error: --summary needs --out\n")
     assert not summary.exists()
+
+
+def test_benchmark_summary_path_must_differ_from_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_benchmark", None)  # the check comes before the sweep
+    monkeypatch.chdir(tmp_path)
+    assert main(["benchmark", "--out", "r.csv", "--summary", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr() == ("", "error: --summary must differ from --out\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_benchmark_summary_recomputes_from_the_results(tmp_path, jobs):
+    config = _write_json(tmp_path / "bench.json", _SMALL_BENCH)
+    out = tmp_path / "results.csv"
+    assert main(["benchmark", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    cells, _ = cli.run_benchmark(BenchConfig(**_SMALL_BENCH))
+    assert len(rows) == len(cells)
+    for row, cell in zip(rows, cells):
+        for name in ("p_x_to_y", "p_y_to_x", "p_independent"):
+            assert float(row[name]).hex() == getattr(cell, name).hex()
+
+    blocks: dict[tuple[str, str], list[dict]] = {}
+    for row in rows:
+        blocks.setdefault((row["regime"], row["n_envs"]), []).append(row)
+    summary = list(csv.DictReader((tmp_path / "results.summary.csv").read_text().splitlines()))
+    assert [(r["regime"], r["n_envs"]) for r in summary] == list(blocks)
+    for srow, block in zip(summary, blocks.values()):
+        hits = np.array([r["correct"] == "true" for r in block], dtype=np.float64)
+        base = np.array([r["baseline_correct"] == "true" for r in block], dtype=np.float64)
+        assert float(srow["accuracy_mean"]) == hits.mean()
+        assert float(srow["accuracy_std"]) == np.std(hits, ddof=1)
+        assert float(srow["baseline_accuracy"]) == base.mean()
+        assert int(srow["n_cells"]) == len(block) == _SMALL_BENCH["n_seeds"]
 
 
 def test_benchmark_config_must_be_valid_json(tmp_path, capsys):
@@ -789,7 +807,6 @@ _READERS = [
             samples_per_env=2,
             alpha=0.05,
             master_seed=0,
-            include_random_baseline=True,
         ),
     ),
     (
@@ -903,7 +920,7 @@ def test_library_configs_name_a_field_of_the_wrong_type(build, field):
 def test_string_regimes_become_members_and_reach_the_csv():
     config = BenchConfig(env_grid=(20,), n_seeds=1, regimes=("iid",))
     assert len(config.regimes) == 1 and config.regimes[0] is VariabilityRegime.IID
-    assert cli.results_csv_text(cli.run_benchmark(config)[0]).splitlines()[1].startswith("iid,")
+    assert cli.csv_text(cli.run_benchmark(config)[0]).splitlines()[1].startswith("iid,")
 
 
 @st.composite
