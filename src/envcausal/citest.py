@@ -47,8 +47,9 @@ FLAG_NUMERICAL_DEGENERACY = "numerical_degeneracy"
 
 _DEGENERACY_EPS = 1e-12
 
-# Minimum number of units (rows of the inputs) for either test.
-_MIN_N = 20
+# Minimum number of units (rows of the inputs) for either test; in
+# discovery the units are environments.
+MIN_UNITS = 20
 
 # The gcm spline gets one interior knot per this many observations, up to
 # _GCM_MAX_KNOTS, so small samples fall back to a plain cubic.
@@ -81,8 +82,8 @@ def _scored(**inputs) -> list[RankScores]:
     shape = scores[0].values.shape
     if any(s.values.shape != shape for s in scores):
         raise ValueError("all inputs must have equal length")
-    if shape[0] < _MIN_N:
-        raise InsufficientSamples(f"need at least {_MIN_N} samples for this test, got {shape[0]}")
+    if shape[0] < MIN_UNITS:
+        raise InsufficientSamples(f"need at least {MIN_UNITS} samples for this test, got {shape[0]}")
     return scores
 
 

@@ -268,7 +268,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_discover(args) -> int:
     decision = discover_structure(read_dataset(args.data), args.alpha)
-    _emit(json.dumps(decision.to_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(asdict(decision), indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -44,14 +44,13 @@ from numpy.typing import NDArray
 from scipy.special import chdtri
 
 from .citest import (
+    MIN_UNITS,
     InsufficientSamples,
     RankScores,
     conditional_independence_test,
     marginal_independence_test,
 )
 from .dgp import CausalStructure
-
-MIN_ENVIRONMENTS = 20
 
 # Significance level of the marginal test's linear component above
 # which the conditional tests keep the linear moment pair alone. It is
@@ -78,15 +77,6 @@ class DiscoveryDecision:
     alpha: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "structure": self.structure.value,
-            "p_x_to_y": self.p_x_to_y,
-            "p_y_to_x": self.p_y_to_x,
-            "p_independent": self.p_independent,
-            "alpha": self.alpha,
-            "flags": list(self.flags),
-        }
 
 
 def build_cross_sample_pairs(samples: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -119,9 +109,9 @@ def discover_structure(samples: NDArray[np.float64], alpha: float = 0.05) -> Dis
     """
     if samples.ndim != 3 or samples.shape[2] != 2:
         raise ValueError(f"samples must have shape (E, n, 2), got {samples.shape}")
-    if samples.shape[0] < MIN_ENVIRONMENTS:
+    if samples.shape[0] < MIN_UNITS:
         raise InsufficientEnvironments(
-            f"need at least {MIN_ENVIRONMENTS} environments, got {samples.shape[0]}"
+            f"need at least {MIN_UNITS} environments, got {samples.shape[0]}"
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")

@@ -13,6 +13,7 @@ source space as well.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -95,34 +96,22 @@ def source_quantiles(family: SourceFamily, uniforms: NDArray[np.float64]) -> NDA
     return np.asarray(family.location) + np.asarray(family.scale) * std
 
 
-@dataclass(frozen=True)
-class ElementwiseTransport:
+def build_elementwise_transport(
+    base: SourceFamily, target: SourceFamily
+) -> Callable[[NDArray[np.float64]], NDArray[np.float64]]:
     """Monotone map sending the base family's samples to the target's.
 
     For location-scale families the inverse-CDF composition collapses to
     the affine form target_loc + (target_scale/base_scale) * (s - base_loc),
     coordinate by coordinate.
     """
-
-    base_location: tuple[float, ...]
-    ratio: tuple[float, ...]
-    target_location: tuple[float, ...]
-
-    def __call__(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
-        return np.asarray(self.target_location) + np.asarray(self.ratio) * (
-            np.asarray(s) - np.asarray(self.base_location)
-        )
-
-
-def build_elementwise_transport(base: SourceFamily, target: SourceFamily) -> ElementwiseTransport:
     if base.family is not target.family:
         raise FamilyMismatch(f"cannot transport {base.family.value} onto {target.family.value}")
     if base.d != target.d:
         raise DimensionMismatch(f"dimension mismatch: base {base.d}, target {target.d}")
-    ratio = tuple(ts / bs for ts, bs in zip(target.scale, base.scale))
-    return ElementwiseTransport(
-        base_location=base.location, ratio=ratio, target_location=target.location
-    )
+    base_loc, target_loc = np.asarray(base.location), np.asarray(target.location)
+    ratio = np.asarray([ts / bs for ts, bs in zip(target.scale, base.scale)])
+    return lambda s: target_loc + ratio * (np.asarray(s) - base_loc)
 
 
 @dataclass(frozen=True)
@@ -203,12 +192,16 @@ class DualityConfig:
             raise ValueError("n_samples must be non-negative")
 
 
-def generate_cause_variability_samples(config: DualityConfig, u: int) -> NDArray[np.float64]:
-    """Draw from the u-th target source, then mix: o = f(s), s ~ per_u[u]."""
+def _source_uniforms(config: DualityConfig, u: int, role: int) -> NDArray[np.float64]:
+    """The (n_samples, d) uniforms of target u on the given stream role."""
     if not 0 <= u < len(config.per_u):
         raise IndexError(f"u index {u} out of range")
-    rng = substream(config.seed, ROLE_DUALITY_CAUSE, u)
-    uniforms = open_uniform(rng, size=(config.n_samples, config.base.d))
+    return open_uniform(substream(config.seed, role, u), size=(config.n_samples, config.base.d))
+
+
+def generate_cause_variability_samples(config: DualityConfig, u: int) -> NDArray[np.float64]:
+    """Draw from the u-th target source, then mix: o = f(s), s ~ per_u[u]."""
+    uniforms = _source_uniforms(config, u, ROLE_DUALITY_CAUSE)
     return config.f.apply(source_quantiles(config.per_u[u], uniforms))
 
 
@@ -218,11 +211,7 @@ def generate_mechanism_variability_samples(config: DualityConfig, u: int) -> NDA
     Uses an RNG stream independent of the cause-variability generator, so
     the two pipelines share no randomness.
     """
-    if not 0 <= u < len(config.per_u):
-        raise IndexError(f"u index {u} out of range")
-    rng = substream(config.seed, ROLE_DUALITY_MECH, u)
-    uniforms = open_uniform(rng, size=(config.n_samples, config.base.d))
-    s = source_quantiles(config.base, uniforms)
+    s = source_quantiles(config.base, _source_uniforms(config, u, ROLE_DUALITY_MECH))
     g = build_elementwise_transport(config.base, config.per_u[u])
     return config.f.apply(g(s))
 

@@ -41,25 +41,6 @@ class DensityFamily(str, Enum):
 
 
 @dataclass(frozen=True)
-class ModulationMatrix:
-    """Rows are parameter differences theta^j - theta^0 against a baseline.
-
-    Each environment's d_sources x k_order parameter block is flattened
-    row-major into a length D = d_sources * k_order row; k_order is 1
-    when each source contributes a single statistic.
-    """
-
-    entries: NDArray[np.float64]  # shape (E-1, D)
-    baseline_index: int
-    d_sources: int
-    k_order: int
-
-    @property
-    def n_columns(self) -> int:
-        return self.d_sources * self.k_order
-
-
-@dataclass(frozen=True)
 class VariabilityReport:
     rank: int
     full_column_rank: bool
@@ -122,41 +103,42 @@ def _as_table(thetas, ndims: tuple[int, ...] = (2,)) -> NDArray[np.float64]:
     return arr
 
 
-def build_modulation_matrix(thetas, baseline_index: int = 0) -> ModulationMatrix:
-    """Difference each environment's parameter vector against the baseline's.
+def build_modulation_matrix(thetas, baseline_index: int = 0) -> NDArray[np.float64]:
+    """Difference each environment's parameter vector against the baseline's:
+    the (E-1, D) array of rows theta^j - theta^0.
 
     ``thetas`` is an (E, D) table, or an (E, d, k) table with k statistics
-    per source whose d x k blocks are flattened row-major. Row order
-    follows environment order with the baseline row removed.
+    per source whose d x k blocks are flattened row-major, so D = d * k.
+    Row order follows environment order with the baseline row removed.
     """
     table = _as_table(thetas, (2, 3))
     e = table.shape[0]
     if not 0 <= baseline_index < e:
         raise ShapeMismatch(f"baseline_index {baseline_index} out of range for {e} environments")
-    d, k = table.shape[1], table.shape[2] if table.ndim == 3 else 1
-    flat = table.reshape(e, d * k)
+    flat = table.reshape(e, -1)
     keep = [j for j in range(e) if j != baseline_index]
     with np.errstate(over="ignore"):
         entries = flat[keep] - flat[baseline_index]
     if not np.all(np.isfinite(entries)):
         raise ShapeMismatch("parameter differences overflow the float range")
-    return ModulationMatrix(entries=entries, baseline_index=baseline_index, d_sources=d, k_order=k)
+    return entries
 
 
-def check_sufficient_variability(
-    matrix: ModulationMatrix, tolerance: float = 1e-10
-) -> VariabilityReport:
-    """Rank the difference rows by singular values at a relative tolerance.
+def check_sufficient_variability(matrix, tolerance: float = 1e-10) -> VariabilityReport:
+    """Rank the (E-1, D) difference rows by singular values at a relative
+    tolerance.
 
     Full column rank requires at least D non-baseline environments; with
     fewer, the report carries a flag explaining why it cannot hold.
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must lie strictly between 0 and 1")
-    entries = matrix.entries
-    if entries.shape[0] < 1:
-        raise ShapeMismatch("modulation matrix has no rows")
-    d_cols = matrix.n_columns
+    entries = np.asarray(matrix, dtype=np.float64)
+    if entries.ndim != 2 or entries.shape[0] < 1:
+        raise ShapeMismatch(f"expected a 2-D difference array with rows, got shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ShapeMismatch("modulation matrix contains non-finite values")
+    d_cols = entries.shape[1]
     singular = np.linalg.svd(entries, compute_uv=False)
     s_max = float(singular[0]) if singular.size else 0.0
     if s_max == 0.0:
@@ -184,8 +166,8 @@ def detect_delta_prior(param_samples, tolerance: float = 1e-10) -> NDArray[np.bo
     """Flag each parameter dimension whose draws never move away from the
     first environment's value by more than the tolerance."""
     table = _as_table(param_samples)
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be non-negative and finite")
     return np.max(np.abs(table - table[0]), axis=0) <= tolerance
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_discover_decides_from_the_csv_alone(tmp_path, dgp_config_path, capsys, 
     data = tmp_path / "data.csv"
     assert main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)]) == 0
     samples = simulate_dataset(DGPConfig(60, "full_exchangeable", "x_to_y"), 5).samples
-    expected = json.dumps(discover_structure(samples).to_dict(), indent=2) + "\n"
+    expected = json.dumps(asdict(discover_structure(samples)), indent=2) + "\n"
     capsys.readouterr()
     assert main(["discover", "--data", str(data)] + truth_args(tmp_path)) == 0
     assert capsys.readouterr() == (expected, "")

@@ -1,5 +1,8 @@
 """Structure decision rule: pairing, alpha-gated selection, symmetries."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +19,12 @@ from envcausal.dgp import (
     CausalStructure,
     DGPConfig,
     VariabilityRegime,
+    read_dataset,
     simulate_dataset,
     simulate_with_params,
+    write_dataset_csv,
 )
+from envcausal.cli import main
 from envcausal.discovery import (
     LINEAR_GATE_LEVEL,
     DiscoveryDecision,
@@ -242,7 +248,7 @@ def test_directed_truth_recovery_rate_under_cause_variability():
 
 def test_alpha_and_environment_count_validation():
     dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=19)
-    with pytest.raises(InsufficientEnvironments):
+    with pytest.raises(InsufficientEnvironments, match="^need at least 20 environments, got 19$"):
         discover_structure(dataset.samples)
     ok = _dataset(FULL, CausalStructure.X_TO_Y, e=20)
     with pytest.raises(ValueError, match="alpha"):
@@ -268,20 +274,21 @@ def test_degenerate_dataset_is_decided_independent():
     assert any("zero_variance" in f for f in decision.flags)
 
 
-def test_to_dict_round_trips_the_reported_fields():
-    dataset = _dataset(FULL, CausalStructure.X_TO_Y, e=40, seed=6)
-    decision = discover_structure(dataset.samples)
-    payload = decision.to_dict()
-    assert set(payload) == {
-        "structure",
-        "p_x_to_y",
-        "p_y_to_x",
-        "p_independent",
-        "alpha",
-        "flags",
+def test_discover_json_reports_the_decision_fields(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_dataset_csv(_dataset(FULL, CausalStructure.X_TO_Y, e=40, seed=6), data)
+    decision = discover_structure(read_dataset(data))
+    assert main(["discover", "--data", str(data)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [f.name for f in fields(DiscoveryDecision)]
+    assert payload == {
+        "structure": decision.structure.value,
+        "p_x_to_y": decision.p_x_to_y,
+        "p_y_to_x": decision.p_y_to_x,
+        "p_independent": decision.p_independent,
+        "alpha": decision.alpha,
+        "flags": list(decision.flags),
     }
-    assert payload["structure"] == decision.structure.value
-    assert payload["flags"] == list(decision.flags)
 
 
 # ---------------------------------------------------------------------------

@@ -49,23 +49,21 @@ def _exact_rank(rows) -> int:
 
 def test_difference_rows_against_baseline():
     matrix = build_modulation_matrix([[0.25], [0.75]])
-    np.testing.assert_array_equal(matrix.entries, [[0.5]])
-    assert matrix.baseline_index == 0
-    assert (matrix.d_sources, matrix.k_order, matrix.n_columns) == (1, 1, 1)
+    np.testing.assert_array_equal(matrix, [[0.5]])
+    assert matrix.shape == (1, 1) and matrix.dtype == np.float64
 
 
 def test_nonzero_baseline_drops_that_row():
     matrix = build_modulation_matrix([[1.0, 2.0], [3.0, 5.0], [0.0, 0.0]], baseline_index=1)
-    np.testing.assert_array_equal(matrix.entries, [[-2.0, -3.0], [-3.0, -5.0]])
-    assert matrix.baseline_index == 1
+    np.testing.assert_array_equal(matrix, [[-2.0, -3.0], [-3.0, -5.0]])
 
 
 def test_gcl_with_single_statistic_matches_plain_construction():
     table = np.array([[0.1, -0.2], [0.4, 0.3], [-0.5, 0.9]])
     plain = build_modulation_matrix(table)
     gcl = build_modulation_matrix(table[:, :, None])
-    np.testing.assert_array_equal(plain.entries, gcl.entries)
-    assert (plain.d_sources, plain.k_order) == (gcl.d_sources, gcl.k_order) == (2, 1)
+    np.testing.assert_array_equal(plain, gcl)
+    assert plain.shape == gcl.shape == (2, 2)
 
 
 def test_gcl_flattens_blocks_row_major():
@@ -73,10 +71,10 @@ def test_gcl_flattens_blocks_row_major():
     table[1] = [[0.5, 0.25]]
     table[2] = [[0.25, 0.5]]
     matrix = build_modulation_matrix(table)
-    np.testing.assert_array_equal(matrix.entries, [[0.5, 0.25], [0.25, 0.5]])
-    assert (matrix.d_sources, matrix.k_order, matrix.n_columns) == (1, 2, 2)
+    np.testing.assert_array_equal(matrix, [[0.5, 0.25], [0.25, 0.5]])
+    assert matrix.shape == (2, 2)
     report = check_sufficient_variability(matrix)
-    assert _exact_rank(matrix.entries) == 2
+    assert _exact_rank(matrix) == 2
     assert report.rank == 2 and report.full_column_rank
 
 
@@ -153,6 +151,30 @@ def test_too_few_environments_is_flagged():
     assert full.full_column_rank
 
 
+def test_plain_difference_array_gives_the_same_report():
+    table = substream(46).uniform(-1.0, 1.0, size=(4, 3))
+    table[:, 2] = 0.5
+    built = build_modulation_matrix(table)
+    plain = (table[1:] - table[0]).tolist()
+    assert check_sufficient_variability(plain) == check_sufficient_variability(built)
+    assert check_sufficient_variability(plain).rank == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.5, 0.25],  # 1-D
+        np.zeros((0, 2)),  # no rows
+        [],
+        [[0.5, np.nan]],
+        [[0.5], [-np.inf]],
+    ],
+)
+def test_rank_check_rejects_malformed_difference_arrays(bad):
+    with pytest.raises(ShapeMismatch):
+        check_sufficient_variability(bad)
+
+
 def test_tolerance_validation():
     matrix = build_modulation_matrix([[0.0], [1.0]])
     for tol in (0.0, 1.0, -0.5):
@@ -166,7 +188,7 @@ def test_rank_matches_exact_rational_elimination():
         table = rng.uniform(-1.0, 1.0, size=(4, 3))
         matrix = build_modulation_matrix(table)
         report = check_sufficient_variability(matrix)
-        assert report.rank == _exact_rank(matrix.entries)
+        assert report.rank == _exact_rank(matrix)
 
 
 def test_generic_draws_are_always_full_rank():
@@ -196,8 +218,8 @@ def test_translation_leaves_the_matrix_unchanged():
     shifted = table + np.array([3.25, -1.5])
     # Exact in real arithmetic; rounding in (a + c) - (b + c) leaves dust.
     np.testing.assert_allclose(
-        build_modulation_matrix(table).entries,
-        build_modulation_matrix(shifted).entries,
+        build_modulation_matrix(table),
+        build_modulation_matrix(shifted),
         atol=1e-12,
     )
 
@@ -254,6 +276,14 @@ def test_delta_detection_tolerance_widens_the_match():
     np.testing.assert_array_equal(detect_delta_prior(table, tolerance=0.0), [False, False])
     with pytest.raises(ValueError):
         detect_delta_prior(table, tolerance=-1e-3)
+
+
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+def test_delta_detection_rejects_a_non_finite_tolerance(tolerance):
+    # A NaN tolerance used to pin no dimension and an infinite one every
+    # dimension, whatever the draws.
+    with pytest.raises(ValueError, match="finite"):
+        detect_delta_prior([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]], tolerance)
 
 
 def test_pinned_dimension_links_detection_to_rank_loss():
