@@ -23,7 +23,6 @@ ROLE_STRUCTURE = 3
 ROLE_CAUSE_NOISE = 4
 ROLE_MECH_NOISE = 5
 ROLE_PERMUTATION = 6
-ROLE_BENCH_CELL = 7
 ROLE_BASELINE = 8
 ROLE_DUALITY_CAUSE = 9
 ROLE_DUALITY_MECH = 10

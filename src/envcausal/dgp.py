@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -299,48 +298,25 @@ def write_truth_json(dataset: MultiEnvDataset, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2))
 
 
-def _row_error(row: list[str], width: int, n_index: int) -> str | None:
-    if len(row) != width:
-        return f"expected {width} columns, got {len(row)}"
-    try:
-        index = [int(v) for v in row[:n_index]]
-        values = [float(v) for v in row[n_index:]]
-    except ValueError:
-        return f"unparseable row {row!r}"
-    if not all(0 <= i < 2**63 for i in index) or not all(map(math.isfinite, values)):
-        return f"invalid values in row {row!r}"
-    return None
-
-
-def _line_numbers(raw: bytes) -> tuple[NDArray[np.int64], int]:
-    """1-based numbers of the non-blank lines of ``raw``, split where
-    csv.reader splits them (at \\r\\n, \\r or \\n), and the longest one's length."""
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    breaks = np.flatnonzero((codes == 10) | (codes == 13))
-    kinds = codes[breaks]
-    second = np.zeros(breaks.size, dtype=bool)  # the \n of a \r\n
-    second[1:] = (kinds[1:] == 10) & (kinds[:-1] == 13) & (np.diff(breaks) == 1)
-    first = np.ones_like(second)  # the \r of a \r\n, or a lone line end
-    first[:-1] = ~second[1:]
-    lengths = np.append(breaks[~second], codes.size) - np.append(0, breaks[first] + 1)
-    return np.flatnonzero(lengths) + 1, int(lengths.max())
-
-
 def _bulk_table(raw: bytes, header_error, n_index):
     """read_csv_table's result from numpy's C parser, or None for the row
     walk to decide: the file is faulty, or the C parser may not read it as
-    csv.reader does (a header or row that spans lines, a field longer
-    than csv.reader allows, a character outside ASCII)."""
-    if not raw.isascii():
-        # Python's int and float read non-ASCII digits and spaces, and
-        # numpy 2.4.6's loadtxt can crash on a character past U+FFFF in an
-        # integer column.
+    csv.reader does (a quote, a field longer than csv.reader allows, a
+    character outside ASCII or one of the separators \\x1c-\\x1f)."""
+    if not raw.isascii() or any(c in raw for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        # Python's int and float read non-ASCII digits and spaces and refuse
+        # \x1c-\x1f, which loadtxt strips as spaces; numpy 2.4.6's loadtxt can
+        # crash on a character past U+FFFF in an integer column.
         return None
-    header = next(csv.reader([re.match(b"[^\r\n]*", raw)[0].decode()]))
+    # Without quotes csv.reader splits lines at \r\n, \r and \n, as
+    # bytes.splitlines does; loadtxt would not split the raw bytes at a lone \r.
+    lines = raw.splitlines()
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    numbers = np.flatnonzero(lengths) + 1  # 1-based numbers of the non-blank lines
+    if numbers.size < 2 or lengths.max() > csv.field_size_limit():
+        return None
+    header = lines[0].decode().split(",")
     if header_error([h.strip() for h in header]) is not None:
-        return None
-    lines, longest = _line_numbers(raw)
-    if lines.size < 2 or longest > csv.field_size_limit():
         return None
     width = len(header)
     dtype = np.dtype([(f"c{j}", np.int64 if j < n_index else np.float64) for j in range(width)])
@@ -348,16 +324,15 @@ def _bulk_table(raw: bytes, header_error, n_index):
         # numpy 1.x reads "1.0" into an integer column with only a DeprecationWarning.
         warnings.simplefilter("error")
         table = np.loadtxt(
-            io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None, quotechar='"',
-            skiprows=1, encoding="ascii", ndmin=1,
+            lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, encoding="ascii", ndmin=1
         )
-    if table.size != lines.size - 1:  # a quoted line break joined two lines into one row
+    if table.size != numbers.size - 1:  # loadtxt skipped a line csv.reader reads as a row
         return None
     index = np.array([table[name] for name in dtype.names[:n_index]])
     values = np.array([table[name] for name in dtype.names[n_index:]])
     if np.any(index < 0) or not np.all(np.isfinite(values)):
         return None
-    return index.T, values.T, lines[1:]
+    return index.T, values.T, numbers[1:]
 
 
 def read_csv_table(
@@ -376,15 +351,16 @@ def read_csv_table(
     each row). Errors name the offending line.
 
     The file is read once. One bulk pass through ``np.loadtxt`` parses a
-    well-formed file; any file it refuses or might read differently is
-    parsed again with csv.reader and Python's ``int`` and ``float``, which
-    decide what is accepted and name the first offending line.
+    well-formed ASCII file without quotes; any other file, and any file
+    that pass refuses or might read differently, is walked row by row
+    with csv.reader and Python's ``int`` and ``float``, which decide what
+    is accepted and name the first offending line.
     """
     with open(path, "rb") as f:
         raw = f.read()
     try:
         table = _bulk_table(raw, header_error, n_index)
-    except (ValueError, Warning, csv.Error):
+    except (ValueError, Warning):
         table = None
     if table is not None:
         return table
@@ -400,16 +376,25 @@ def read_csv_table(
     if message is not None:
         raise DataFormatError(message, line=1)
     width = len(records[0])
-    lines = [i for i, row in enumerate(records[1:], start=2) if row]
-    rows = [records[i - 1] for i in lines]
-    for line, row in zip(lines, rows):
-        message = _row_error(row, width, n_index)
-        if message is not None:
-            raise DataFormatError(message, line=line)
-    columns = list(zip(*rows)) or [()] * width
-    index = np.array([list(map(int, c)) for c in columns[:n_index]], dtype=np.int64)
-    values = np.array([list(map(float, c)) for c in columns[n_index:]], dtype=np.float64)
-    return index.T, values.T, np.array(lines, dtype=np.int64)
+    lines, index, values = [], [], []
+    for line, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataFormatError(f"expected {width} columns, got {len(row)}", line=line)
+        try:
+            index.append([int(v) for v in row[:n_index]])
+            values.append([float(v) for v in row[n_index:]])
+        except ValueError:
+            raise DataFormatError(f"unparseable row {row!r}", line=line) from None
+        if not all(0 <= i < 2**63 for i in index[-1]) or not all(map(math.isfinite, values[-1])):
+            raise DataFormatError(f"invalid values in row {row!r}", line=line)
+        lines.append(line)
+    return (
+        np.array(index, dtype=np.int64).reshape(len(lines), n_index),
+        np.array(values, dtype=np.float64).reshape(len(lines), width - n_index),
+        np.array(lines, dtype=np.int64),
+    )
 
 
 def _dataset_header_error(header: list[str]) -> str | None:

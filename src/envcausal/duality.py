@@ -38,6 +38,7 @@ from .variability import DensityFamily
 
 # Pooled-distance-matrix memory guard for the permutation test.
 _ENERGY_MAX_POOLED = 4096
+_ENERGY_PERMUTATIONS = 200
 
 _KS_MIN_SAMPLES = 50
 
@@ -249,7 +250,6 @@ def two_sample_test(
     b,
     method: TwoSampleMethod = TwoSampleMethod.KS_PER_COORDINATE,
     *,
-    n_permutations: int = 200,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Test whether two (n, d) sample tables come from the same distribution.
@@ -259,8 +259,9 @@ def two_sample_test(
     merge of the two sorted columns, and every p-value from one vectorized
     ``kstwo.sf`` call: the bits of ``scipy.stats.ks_2samp(method="asymp")``
     without its per-call overhead. The energy alternative permutes pooled
-    labels and therefore materializes the pooled distance matrix, summed
-    coordinate by coordinate; it is meant for moderate sample counts.
+    labels 200 times, so its p-value is at least 1/201, and materializes
+    the pooled distance matrix, summed coordinate by coordinate; it is
+    meant for moderate sample counts.
     Both need finite tables with at least one column.
     """
     method = TwoSampleMethod(method)
@@ -284,8 +285,6 @@ def two_sample_test(
         raise ValueError(
             f"energy permutation test limited to {_ENERGY_MAX_POOLED} pooled samples, got {n + m}"
         )
-    if n_permutations < 1:
-        raise ValueError("n_permutations must be positive")
     pooled = np.vstack([ta, tb])
     # Column by column; a sum over the coordinate axis has the same bits for d <= 7.
     squared = np.zeros((n + m, n + m))
@@ -299,22 +298,17 @@ def two_sample_test(
     observed = float(2.0 * cross - within_a - within_b)
     total = dist.sum()
     rng = substream(seed, ROLE_PERMUTATION)
-    exceed = 0
-    # Permutations go in blocks of at most n + m, so the block's arrays
-    # never outgrow the distance matrix.
-    for start in range(0, n_permutations, n + m):
-        block = min(n + m, n_permutations - start)
-        perms = np.stack([rng.permutation(n + m) for _ in range(block)])
-        # Row p marks the pooled rows that permutation p sends to table a.
-        in_a = np.zeros((block, n + m))
-        in_a[np.arange(block)[:, None], perms[:, :n]] = 1.0
-        row = in_a @ dist
-        sum_aa = np.einsum("pj,pj->p", row, in_a)
-        sum_ab = row.sum(axis=1) - sum_aa
-        sum_bb = total - sum_aa - 2.0 * sum_ab
-        permuted = 2.0 * sum_ab / (n * m) - sum_aa / (n * n) - sum_bb / (m * m)
-        exceed += int(np.count_nonzero(permuted >= observed))
-    return observed, (exceed + 1) / (n_permutations + 1)
+    perms = np.stack([rng.permutation(n + m) for _ in range(_ENERGY_PERMUTATIONS)])
+    # Row p marks the pooled rows that permutation p sends to table a.
+    in_a = np.zeros((_ENERGY_PERMUTATIONS, n + m))
+    in_a[np.arange(_ENERGY_PERMUTATIONS)[:, None], perms[:, :n]] = 1.0
+    row = in_a @ dist
+    sum_aa = np.einsum("pj,pj->p", row, in_a)
+    sum_ab = row.sum(axis=1) - sum_aa
+    sum_bb = total - sum_aa - 2.0 * sum_ab
+    permuted = 2.0 * sum_ab / (n * m) - sum_aa / (n * n) - sum_bb / (m * m)
+    exceed = int(np.count_nonzero(permuted >= observed))
+    return observed, (exceed + 1) / (_ENERGY_PERMUTATIONS + 1)
 
 
 @dataclass(frozen=True)
@@ -342,6 +336,8 @@ def verify_duality(
 
     A u passes only when the two-sample test keeps p above the level in
     observation space and in source space (through the inverse mixing).
+    The energy test's p-value is never below 1/201, so with that test a
+    lower level, which every target would pass, raises ValueError.
     ``force_identity_transport`` is a diagnostic that gives the mechanism
     path the base as every target, so its transport is the identity; with
     any target differing from the base it must make the verification fail.
@@ -350,6 +346,9 @@ def verify_duality(
         raise ValueError("verification needs at least one sample")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
+    floor = _ENERGY_PERMUTATIONS + 1
+    if config.test is TwoSampleMethod.ENERGY_PERMUTATION and level < 1 / floor:
+        raise ValueError(f"level {level} is below the energy test's p-value floor 1/{floor}")
     mech_config = config
     if force_identity_transport:
         mech_config = replace(config, per_u=(config.base,) * len(config.per_u))

@@ -223,6 +223,31 @@ def test_unknown_subcommand_is_a_usage_error():
     assert main(["frobnicate"]) == 1
 
 
+def test_bare_command_prints_the_usage_and_is_a_usage_error(capsys):
+    assert main([]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: envcausal")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--seed", "0", "--out", "data.csv", "--config"],
+        ["benchmark", "--config"],
+        ["duality", "--config"],
+        ["variability", "--params"],
+    ],
+    ids=["simulate", "benchmark", "duality", "variability"],
+)
+def test_missing_input_file_exits_two_naming_it(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)  # where simulate's --out would land
+    missing = tmp_path / "missing.json"
+    assert main(args + [str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
@@ -392,12 +417,23 @@ def test_benchmark_stdout_mode_prints_tables_and_comments(tmp_path, capsys):
         {"alpha": 1.5},
         {"n_seeds": 0},
         {"include_random_baseline": False},  # the baseline is always written
+        {"regimes": []},
+        {"regimes": ["iid", "iid"]},
+        {"samples_per_env": 1},
     ],
 )
 def test_bad_benchmark_configs_exit_two(tmp_path, payload, capsys):
     config = _write_json(tmp_path / "bench.json", payload)
     assert main(["benchmark", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_benchmark_needs_at_least_one_job(tmp_path, capsys):
+    config = _write_json(tmp_path / "bench.json", {"env_grid": [20], "n_seeds": 1, "regimes": ["iid"]})
+    out = tmp_path / "x.csv"
+    assert main(["benchmark", "--config", config, "--out", str(out), "--jobs", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: jobs must be at least 1\n")
+    assert not out.exists()
 
 
 def test_benchmark_summary_path_needs_out(tmp_path, capsys, monkeypatch):
@@ -489,6 +525,13 @@ def test_variability_names_the_line_of_a_duplicate_environment(tmp_path, capsys)
     assert main(["variability", "--params", str(params)]) == 2
     err = capsys.readouterr().err
     assert "duplicate environment index 1" in err and "line 4" in err
+
+
+def test_variability_rejects_gapped_environment_indices(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("env,dim_0\n0,0.5\n2,0.25\n")
+    assert main(["variability", "--params", str(params)]) == 2
+    assert capsys.readouterr().err == "error: environment indices must be 0-based and contiguous\n"
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -583,6 +626,14 @@ _DUAL = {
     "seed": 0,
 }
 _REGIME_CHOICES = "full_exchangeable, cause_variability, mechanism_variability, iid"
+
+
+def test_duality_energy_level_below_the_p_value_floor_exits_two(tmp_path, capsys):
+    energy = _write_json(tmp_path / "dual.json", dict(_DUAL, test="energy-permutation"))
+    assert main(["duality", "--config", energy, "--level", "0.001"]) == 2
+    assert capsys.readouterr() == ("", "error: level 0.001 is below the energy test's p-value floor 1/201\n")
+    ks = _write_json(tmp_path / "ks.json", _DUAL)
+    assert main(["duality", "--config", ks, "--level", "0.001", "--out", str(tmp_path / "r")]) == 0
 
 
 def _run_config(tmp_path, command, payload):

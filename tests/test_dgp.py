@@ -28,6 +28,7 @@ from envcausal.dgp import (
     write_dataset_csv,
     write_truth_json,
 )
+from envcausal.dgp import _bulk_table
 
 FULL = VariabilityRegime.FULL_EXCHANGEABLE
 CAUSE = VariabilityRegime.CAUSE_VARIABILITY
@@ -564,6 +565,7 @@ _EDGE_FILES = {
     "underscore": "env,sample,x,y\n0,0,1_0,2\n",
     "infinity": "env,sample,x,y\n0,0,Infinity,2\n",
     "hex": "env,sample,x,y\n0,0,0x10,2\n",
+    "separator-around-number": "env,sample,x,y\n0,0,1\x1e,2\n0,1,3,\x1c4\n",
     "fortran-exponent": "env,sample,x,y\n0,0,1d3,2\n",
     "trailing-comma": "env,sample,x,y\n0,0,1,2,\n",
     "arabic-digit": "env,sample,x,y\n\u0660,0,1,2\n",
@@ -594,6 +596,27 @@ def test_reader_reads_written_rows_in_order_and_shuffled_the_same(tmp_path):
         samples = read_dataset(p)
         assert samples.flags.c_contiguous
         assert samples.tobytes() == dataset.samples.tobytes()
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n", "\r"], ids=["written", "lf", "cr"])
+def test_bulk_pass_reads_written_files_and_their_line_end_rewrites(tmp_path, end):
+    # Only discover's speed would show the bulk pass handing these to the row walk.
+    dataset = simulate_dataset(_config(FULL, CausalStructure.X_TO_Y, e=30, n=3), 9)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(dataset, path)
+    raw = path.read_bytes()
+    if end != "\r\n":
+        header, *rows = raw.decode().split("\r\n")
+        raw = end.join([header, "", *rows[:5], "", "", *rows[5:]]).encode()
+    table = _bulk_table(raw, _dataset_header_error, 2)
+    assert table is not None
+    index, values, lines = table
+    assert values.tobytes() == dataset.samples.reshape(-1, 2).tobytes()
+    assert index.tolist() == [[e, j] for e in range(30) for j in range(3)]
+    expected = np.arange(2, 92) if end == "\r\n" else np.r_[3:8, 10:95]
+    np.testing.assert_array_equal(lines, expected)
+    path.write_bytes(raw)
+    assert _outcome(read_dataset, path) == _outcome(_oracle_environments, path)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (0, 2, 2)])

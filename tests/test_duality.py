@@ -1,5 +1,7 @@
 """Equivalence of the two sampling pipelines and the two-sample backends."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -199,9 +201,8 @@ def test_energy_permutations_match_the_loop_reference(seed):
     d = int(rng.integers(1, 4)) if seed < 60 else 4 + seed % 4
     a = rng.normal(size=(n, d))
     b = rng.normal(loc=rng.uniform(0.0, 0.5), size=(m, d))
-    # 60 permutations of at least 10 pooled rows: one block or several.
-    expected = _energy_loop_reference(a, b, 60, seed)
-    got = two_sample_test(a, b, TwoSampleMethod.ENERGY_PERMUTATION, n_permutations=60, seed=seed)
+    expected = _energy_loop_reference(a, b, 200, seed)
+    got = two_sample_test(a, b, TwoSampleMethod.ENERGY_PERMUTATION, seed=seed)
     assert got == expected
 
 
@@ -385,6 +386,25 @@ def test_verification_level_and_sample_guards():
     live = DualityConfig(MixingSpec(TRI, 1), base, (base,), 100, seed=0)
     with pytest.raises(ValueError, match="level"):
         verify_duality(live, level=1.0)
+
+
+def test_energy_level_below_the_p_value_floor_is_refused():
+    # The energy p-value is never below 1/201, so a lower level used to pass
+    # every target however far it lay from the base.
+    base = _g([0.0, 0.0], [1.0, 1.0])
+    far = (_g([3.0, -3.0], [1.0, 1.0]),)
+    energy = DualityConfig(
+        MixingSpec(MixingKind.IDENTITY, 2), base, far, 100, seed=0,
+        test=TwoSampleMethod.ENERGY_PERMUTATION,
+    )
+    report = verify_duality(energy, level=1 / 201, force_identity_transport=True)
+    assert not report.overall_pass
+    assert report.per_u_results[0].p_value == report.per_u_results[0].source_p_value == 1 / 201
+    for level in (0.004, 0.001):
+        with pytest.raises(ValueError, match=r"^level .* is below the energy test's p-value floor 1/201$"):
+            verify_duality(energy, level=level, force_identity_transport=True)
+    ks = replace(energy, test=TwoSampleMethod.KS_PER_COORDINATE)  # KS has no floor
+    assert not verify_duality(ks, level=0.001, force_identity_transport=True).overall_pass
 
 
 def test_scale_varying_targets_verify_in_both_spaces():
