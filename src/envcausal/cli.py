@@ -267,7 +267,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    decision = discover_structure(read_dataset(args.data), args.alpha)
+    try:
+        samples = read_dataset(args.data)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {args.data}: {exc}")
+    decision = discover_structure(samples, args.alpha)
     _emit(json.dumps(asdict(decision), indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -14,16 +14,25 @@ from envcausal import citest
 from envcausal.citest import (
     FLAG_NUMERICAL_DEGENERACY,
     FLAG_ZERO_VARIANCE,
+    MIN_UNITS,
     CITestResult,
     InsufficientSamples,
     RankScores,
     _mid_ranks,
     _residualize,
     _spline_basis,
+    _spline_factor,
     conditional_independence_test,
     marginal_independence_test,
 )
-from envcausal.dgp import CausalStructure, DGPConfig, VariabilityRegime, simulate_with_params
+from envcausal.dgp import (
+    CausalStructure,
+    DGPConfig,
+    VariabilityRegime,
+    simulate_dataset,
+    simulate_with_params,
+)
+from envcausal.discovery import discover_structure
 
 # The conditional test's three forms: both moment pairs, the linear pair
 # alone, the squares pair alone.
@@ -406,6 +415,12 @@ def test_rank_scores_of_a_reversed_view_equal_those_of_the_reversed_array(shape,
     view, direct = scores.reversed(), RankScores.of(values[..., ::-1])
     for field in ("values", "normal", "uniform", "sorted_normal"):
         assert _same_bits(getattr(view, field), getattr(direct, field)), field
+    # Tied entries may take each other's places, so position is checked
+    # through the scores it gathers.
+    for held in (scores, view, direct):
+        assert held.position.shape == values.shape
+        assert np.array_equal(np.sort(held.position.ravel()), np.arange(values.size))
+        assert _same_bits(held.sorted_normal[held.position], held.normal)
 
 
 def test_rank_scores_are_checked_like_arrays():
@@ -487,25 +502,91 @@ def _residualizer_cases():
 RESIDUALIZER_CASES = dict(_residualizer_cases())
 
 
+def _input_order_basis(z):
+    """The spline basis with a row per entry of z, in z's raveled order:
+    each row is looked up by the entry's score, not by z.position."""
+    rows = np.searchsorted(z.sorted_normal, z.normal.ravel())
+    return _spline_basis(z.sorted_normal)[rows]
+
+
 @pytest.mark.parametrize("case", list(RESIDUALIZER_CASES))
 def test_least_squares_residuals_match_gram_schmidt(case, monkeypatch):
     x, y, z = RESIDUALIZER_CASES[case]
-    sa, sb = RankScores.of(x).normal.ravel(), RankScores.of(y).normal.ravel()
-    features = np.stack([sa, sb, sa * sa, sb * sb], axis=1)
-    basis = _spline_basis(RankScores.of(z))
-    if case == "three_valued":
-        assert not np.all(np.linalg.norm(basis, axis=0) > 0.0)
-    reference = _gram_schmidt_residuals(features, basis)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        residuals = _residualize(features, basis)
-    np.testing.assert_allclose(residuals, reference, rtol=0.0, atol=1e-11)
-    for moments in ({}, {"linear_only": True}, {"squares_only": True}):
+    z = RankScores.of(z)
+    # As scored, and column-reversed as a decision's second samples are.
+    for x, y, z in ((x, y, z), (x[..., ::-1], y[..., ::-1], z.reversed())):
+        sa, sb = RankScores.of(x).normal.ravel(), RankScores.of(y).normal.ravel()
+        features = np.stack([sa, sb, sa * sa, sb * sb], axis=1)
+        basis = _input_order_basis(z)
+        if case == "three_valued":
+            assert not np.all(np.linalg.norm(basis, axis=0) > 0.0)
+        reference = _gram_schmidt_residuals(features, basis)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = conditional_independence_test(x, y, z, **moments)
-        with monkeypatch.context() as patch:
-            patch.setattr(citest, "_residualize", _gram_schmidt_residuals)
-            expected = conditional_independence_test(x, y, z, **moments)
-        assert result.p_value == pytest.approx(expected.p_value, rel=0.0, abs=1e-11)
-        assert result.flags == expected.flags
+            residuals = _residualize(features, z)
+        np.testing.assert_allclose(residuals, reference, rtol=0.0, atol=1e-11)
+        for moments in ({}, {"linear_only": True}, {"squares_only": True}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = conditional_independence_test(x, y, z, **moments)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    citest,
+                    "_residualize",
+                    lambda f, scores: _gram_schmidt_residuals(f, _input_order_basis(scores)),
+                )
+                expected = conditional_independence_test(x, y, z, **moments)
+            assert result.p_value == pytest.approx(expected.p_value, rel=0.0, abs=1e-11)
+            assert result.flags == expected.flags
+
+
+# ---------------------------------------------------------------------------
+# The spline factor cache.
+
+
+@pytest.mark.parametrize("n_envs, seed", [(100, 3), (300, 8)])
+def test_decisions_from_a_cold_and_a_warm_factor_cache_are_identical(n_envs, seed):
+    config = DGPConfig(n_envs, VariabilityRegime.MECHANISM_VARIABILITY, CausalStructure.X_TO_Y)
+    samples = simulate_dataset(config, seed).samples
+    _spline_factor.cache_clear()
+    cold = discover_structure(samples)
+    assert _spline_factor.cache_info().misses == 1  # both tests share the one factor
+    warm = discover_structure(samples)
+    assert _spline_factor.cache_info().misses == 1
+    assert warm == cold
+    _spline_factor.cache_clear()
+    assert discover_structure(samples) == cold
+
+
+def test_tied_and_tie_free_conditioners_of_one_size_get_their_own_factors():
+    rng = np.random.default_rng(5)
+    free = RankScores.of(rng.standard_normal(400))
+    tied = RankScores.of(rng.integers(3, size=400).astype(float))
+    _spline_factor.cache_clear()
+    factors = [_spline_factor(z.sorted_normal.tobytes()) for z in (free, tied, free)]
+    assert _spline_factor.cache_info().misses == 2
+    assert factors[2] is factors[0]
+    assert factors[1].shape[0] == factors[0].shape[0] == 400
+    # Three values span three directions; the tie-free spline spans all 12.
+    assert factors[1].shape[1] == 3 and factors[0].shape[1] == 12
+    for q in factors[:2]:
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0.0, atol=1e-12)
+
+
+def test_cached_factors_are_read_only():
+    z = RankScores.of(np.random.default_rng(6).standard_normal((50, 2)))
+    factor = _spline_factor(z.sorted_normal.tobytes())
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        factor[0, 0] = 0.0
+
+
+def test_factor_cache_keeps_its_size_after_more_sizes_than_it_holds():
+    rng = np.random.default_rng(7)
+    _spline_factor.cache_clear()
+    for n in range(MIN_UNITS, MIN_UNITS + citest._FACTOR_CACHE_SIZE + 3):
+        x, y, z = rng.standard_normal((3, n, 2))
+        conditional_independence_test(x, y, z)
+    info = _spline_factor.cache_info()
+    assert info.misses == citest._FACTOR_CACHE_SIZE + 3
+    assert info.currsize == info.maxsize == citest._FACTOR_CACHE_SIZE

@@ -229,22 +229,38 @@ def test_bare_command_prints_the_usage_and_is_a_usage_error(capsys):
     assert out == "" and err.startswith("usage: envcausal")
 
 
-@pytest.mark.parametrize(
+# Each subcommand's input-file option, the path to follow it.
+INPUT_FILE_ARGS = pytest.mark.parametrize(
     "args",
     [
         ["simulate", "--seed", "0", "--out", "data.csv", "--config"],
         ["benchmark", "--config"],
         ["duality", "--config"],
         ["variability", "--params"],
+        ["discover", "--data"],
     ],
-    ids=["simulate", "benchmark", "duality", "variability"],
+    ids=["simulate", "benchmark", "duality", "variability", "discover"],
 )
+
+
+@INPUT_FILE_ARGS
 def test_missing_input_file_exits_two_naming_it(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # where simulate's --out would land
     missing = tmp_path / "missing.json"
     assert main(args + [str(missing)]) == 2
     assert capsys.readouterr().err == (
         f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
+@INPUT_FILE_ARGS
+def test_directory_as_input_file_exits_two_naming_it(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    folder = tmp_path / "inputs"
+    folder.mkdir()
+    assert main(args + [str(folder)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {folder}: [Errno 21] Is a directory: '{folder}'\n"
     )
 
 

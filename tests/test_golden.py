@@ -64,9 +64,9 @@ GOLDEN = {
     "simulate/full/data.truth.json": "ae3bfc120f129c51d167cdfe6cf39d7ede7d8fa2c0484b680713233488a18e77",
     "simulate/collapsed_iid/data.csv": "73865e3d7cf2069a046227f598e517bb76a82e74bc864d7d95fefcdd86d69f35",
     "simulate/collapsed_iid/data.truth.json": "1b7941a0bcebc1d09aebbd4415275a75f5f0817ae9659b05fd75076a97ae91e5",
-    "discover/gcm.json": "364dc5bf8ad1b96e2e58d444c7d5ce440610d301cb97020d8009c9c9eacf69e3",
-    "discover/cause_linear_gcm.json": "30686333047dd771ed087854054c04f74ccf3e38fb66f8edc576fbd6755bb963",
-    "benchmark/results.csv": "2c063cff3163cd0d4ffeecd7367e9a6faba9dacfdaf00006d71296a3b03b1bdc",
+    "discover/gcm.json": "17646f41212a3a515a4f662868e242e657e5149c660c97d52ebe297aaa50f513",
+    "discover/cause_linear_gcm.json": "a8e302462847846942b1c3343a6f66eb5ff7845fda5138c6a1b8e757d4815494",
+    "benchmark/results.csv": "cac545c72af7d3899f27ffe391dfe10ba4838bb2cd633bb62062dd07a489a0b0",
     "benchmark/results.summary.csv": "dc63692557e736eaae5ba258d9a731ff32eaf85044f698c89f3805680d9084cc",
     "duality/energy.json": "75c833d00c52c6432ae08d6a263025910354566c4957b419e899ef1a2eceab79",
     "duality/ks.json": "c8d676793d48a8a10700d194067ead09846fba28d90ceb97b98dedc50dbca4f6",
