@@ -237,12 +237,17 @@ def _gcm(
     kept = np.sum(residuals * residuals, axis=0) > _DEGENERACY_EPS * np.sum(
         centered * centered, axis=0
     )
-    pairs = [(i, i + 1) for i in range(0, features.shape[1], 2) if kept[i] and kept[i + 1]]
-    if not pairs:
-        return CITestResult(0.0, 1.0, units, (FLAG_NUMERICAL_DEGENERACY,))
-    ra = np.stack([residuals[:, i].reshape(units, -1) for i, _ in pairs])
-    rb = np.stack([residuals[:, j].reshape(units, -1) for _, j in pairs])
-    per_unit = np.sum(ra * rb, axis=2).T  # (units, len(pairs))
+    # Columns alternate a and b features, so pair k is columns 2k and 2k + 1;
+    # it is tested when neither column vanished in the residualization, and
+    # ra and rb hold the tested pairs' residuals as (pairs, units, replicates).
+    tested = kept[0::2] & kept[1::2]
+    n_pairs = int(np.count_nonzero(tested))
+    degenerate = CITestResult(0.0, 1.0, units, (FLAG_NUMERICAL_DEGENERACY,))
+    if not n_pairs:
+        return degenerate
+    ra = residuals.T[0::2][tested].reshape(n_pairs, units, -1)
+    rb = residuals.T[1::2][tested].reshape(n_pairs, units, -1)
+    per_unit = np.sum(ra * rb, axis=2).T  # (units, pairs)
     if z is None:
         # Under independence the covariance of two pairs' unit sums is the
         # trace of the product of the replicate covariances of their a and
@@ -254,24 +259,22 @@ def _gcm(
     else:
         variance = per_unit.T @ per_unit
     total = per_unit.sum(axis=0)
-    by_pair = dict(zip(pairs, total * total / np.diag(variance)))
-    components = tuple(
-        float(by_pair.get((i, i + 1), 0.0)) for i in range(0, features.shape[1], 2)
-    )
+    components = np.zeros(tested.size)
+    components[tested] = total * total / np.diag(variance)
     if squares_only:
         # One pair, one-sided: the statistic is the signed standardized sum.
         if not variance[0, 0] > 0.0:
-            return CITestResult(0.0, 1.0, units, (FLAG_NUMERICAL_DEGENERACY,))
+            return degenerate
         stat = float(total[0]) / math.sqrt(float(variance[0, 0]))
         p = float(ndtr(stat))
-        return CITestResult(stat, min(1.0, p), units, components=components)
-    try:
-        stat = float(total @ np.linalg.solve(variance, total))
-    except np.linalg.LinAlgError:
-        return CITestResult(0.0, 1.0, units, (FLAG_NUMERICAL_DEGENERACY,))
-    # chdtrc is NaN below zero, where the chi-squared tail is 1.
-    p = float(chdtrc(len(pairs), max(stat, 0.0)))
-    return CITestResult(stat, min(1.0, p), units, components=components)
+    else:
+        try:
+            stat = float(total @ np.linalg.solve(variance, total))
+        except np.linalg.LinAlgError:
+            return degenerate
+        # chdtrc is NaN below zero, where the chi-squared tail is 1.
+        p = float(chdtrc(n_pairs, max(stat, 0.0)))
+    return CITestResult(stat, min(1.0, p), units, components=tuple(components.tolist()))
 
 
 def marginal_independence_test(x, y) -> CITestResult:

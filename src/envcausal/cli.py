@@ -18,6 +18,7 @@ no matter how many worker processes ran the cells.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -250,11 +251,30 @@ def _load_config(path: str, cls):
     return read_object(cls, obj, "config")
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the fault writing ``path`` would meet when it is a directory
+    or its directory is missing, so a long run stops before it starts."""
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(f"cannot write {path}: {OSError(code, os.strerror(code), str(path))}")
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write(Path(out), text)
 
 
 def _cmd_simulate(args) -> int:
@@ -282,6 +302,11 @@ def _cmd_benchmark(args) -> int:
     if args.summary and Path(args.summary).resolve() == Path(args.out).resolve():
         raise InvalidConfig("--summary must differ from --out")
     config = BenchConfig() if args.config is None else _load_config(args.config, BenchConfig)
+    if args.out is not None:
+        out = Path(args.out)
+        summary_path = Path(args.summary) if args.summary else out.with_suffix(".summary.csv")
+        _check_writable(out)
+        _check_writable(summary_path)
     cells, summary = run_benchmark(config, jobs=args.jobs)
     results_text = csv_text(cells)
     summary_text = csv_text(summary)
@@ -290,10 +315,8 @@ def _cmd_benchmark(args) -> int:
         sys.stdout.write("\n")
         sys.stdout.write(summary_text)
     else:
-        out = Path(args.out)
-        out.write_text(results_text)
-        summary_path = Path(args.summary) if args.summary else out.with_suffix(".summary.csv")
-        summary_path.write_text(summary_text)
+        _write(out, results_text)
+        _write(summary_path, summary_text)
     for structure, (acc, count) in per_structure_accuracy(cells).items():
         sys.stdout.write(f"# accuracy[{structure.value}] = {acc:.4f} over {count} cells\n")
     return EXIT_OK

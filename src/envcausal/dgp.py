@@ -413,14 +413,6 @@ def read_dataset(path: str | Path) -> NDArray[np.float64]:
     if index.shape[0] == 0:
         raise DataFormatError("dataset contains no rows", line=2)
     env, sample = index[:, 0], index[:, 1]
-    # Rows in (env, sample) order, as write_dataset_csv writes them, need
-    # no sort: E environments of n samples reshape as they stand.
-    n = env.size if env[-1] == 0 else int(np.argmax(env != 0))
-    if n and env.size % n == 0:
-        e = env.size // n
-        grid = index.reshape(e, n, 2)
-        if np.all(grid[:, :, 0] == np.arange(e)[:, None]) and np.all(grid[:, :, 1] == np.arange(n)):
-            return np.ascontiguousarray(values.reshape(e, n, 2))
     envs, counts = np.unique(env, return_counts=True)
     if envs[-1] != envs.size - 1:
         raise DataFormatError("environment indices must be 0-based and contiguous")

@@ -590,3 +590,133 @@ def test_factor_cache_keeps_its_size_after_more_sizes_than_it_holds():
     info = _spline_factor.cache_info()
     assert info.misses == citest._FACTOR_CACHE_SIZE + 3
     assert info.currsize == info.maxsize == citest._FACTOR_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# The pair-mask gcm core against the list-based one it replaced.
+
+
+def _gcm_reference(a, b, z, linear_only=False, squares_only=False):
+    """The gcm core as it was when it kept its moment pairs in a list of
+    column pairs, one np.stack per pair side and a dict of components."""
+    units = a.values.shape[0]
+    if a.constant or b.constant or (z is not None and z.constant):
+        return CITestResult(0.0, 1.0, units, (FLAG_ZERO_VARIANCE,))
+    a, b = citest._canonical_sides(a, b)
+    if linear_only:
+        features = np.stack([a.uniform.ravel(), b.uniform.ravel()], axis=1)
+    else:
+        sa, sb = a.normal.ravel(), b.normal.ravel()
+        columns = [sa * sa, sb * sb] if squares_only else [sa, sb, sa * sa, sb * sb]
+        features = np.stack(columns, axis=1)
+    centered = features - features.mean(axis=0)
+    if z is None:
+        residuals = centered
+    else:
+        residuals = citest._residualize(features, z)
+    kept = np.sum(residuals * residuals, axis=0) > citest._DEGENERACY_EPS * np.sum(
+        centered * centered, axis=0
+    )
+    pairs = [(i, i + 1) for i in range(0, features.shape[1], 2) if kept[i] and kept[i + 1]]
+    if not pairs:
+        return CITestResult(0.0, 1.0, units, (FLAG_NUMERICAL_DEGENERACY,))
+    ra = np.stack([residuals[:, i].reshape(units, -1) for i, _ in pairs])
+    rb = np.stack([residuals[:, j].reshape(units, -1) for _, j in pairs])
+    per_unit = np.sum(ra * rb, axis=2).T
+    if z is None:
+        cov_a = np.einsum("pur,qus->pqrs", ra, ra) / units
+        cov_b = np.einsum("pur,qus->pqrs", rb, rb) / units
+        variance = units * np.einsum("pqrs,pqrs->pq", cov_a, cov_b)
+    else:
+        variance = per_unit.T @ per_unit
+    total = per_unit.sum(axis=0)
+    by_pair = dict(zip(pairs, total * total / np.diag(variance)))
+    components = tuple(
+        float(by_pair.get((i, i + 1), 0.0)) for i in range(0, features.shape[1], 2)
+    )
+    if squares_only:
+        if not variance[0, 0] > 0.0:
+            return CITestResult(0.0, 1.0, units, (FLAG_NUMERICAL_DEGENERACY,))
+        stat = float(total[0]) / math.sqrt(float(variance[0, 0]))
+        p = float(ndtr(stat))
+        return CITestResult(stat, min(1.0, p), units, components=components)
+    try:
+        stat = float(total @ np.linalg.solve(variance, total))
+    except np.linalg.LinAlgError:
+        return CITestResult(0.0, 1.0, units, (FLAG_NUMERICAL_DEGENERACY,))
+    p = float(chdtrc(len(pairs), max(stat, 0.0)))
+    return CITestResult(stat, min(1.0, p), units, components=components)
+
+
+def _gcm_oracle_cases():
+    rng = np.random.default_rng(37)
+    x, e, z = rng.standard_normal((3, 300))
+    yield "seeded_1d", (x, x + e, z)
+    yield "seeded_1d_chain", (x, z + 0.3 * e, x + z)
+    x, e, z = rng.standard_normal((3, 250, 2))
+    yield "seeded_pairs", (x, np.sign(z) * x + e, z)
+    yield "seeded_pairs_reversed", (x[:, ::-1], (x * z + e)[:, ::-1], z[:, ::-1])
+    x, e, z = rng.standard_normal((3, 60, 9))
+    yield "nine_replicates", (x, x * z + e, z)
+    x, e, z = rng.standard_normal((3, 200, 2))
+    yield "tied", (np.round(x, 1), np.round(x + e, 1), np.round(z, 1))
+    yield "three_valued", (np.round(x), np.round(e), np.round(z))
+    # x takes -2, -1, 1 and 2 equally often, so the squares of its scores
+    # are a function of z = x * x and only the linear pair stays tested.
+    x4 = rng.permutation(np.repeat([-2.0, -1.0, 1.0, 2.0], 50))
+    yield "squares_explained", (x4, 0.3 * x4 + e[:, 0], x4 * x4)
+    yield "constant_input", (np.full(200, 2.5), e[:, 0], z[:, 0])
+    yield "conditioner_equals_input", (x, e, x)
+    yield "collapsed_noise", _collapsed_noise_triple()
+    samples = simulate_dataset(
+        DGPConfig(300, VariabilityRegime.MECHANISM_VARIABILITY, CausalStructure.X_TO_Y), 4
+    ).samples
+    yield "simulated", (samples[..., 0], samples[..., 1][:, ::-1], samples[..., 1])
+
+
+GCM_ORACLE_CASES = dict(_gcm_oracle_cases())
+
+
+def _assert_same_result(result, expected):
+    assert _same_bits(result.statistic, expected.statistic)
+    assert _same_bits(result.p_value, expected.p_value)
+    assert result.n == expected.n
+    assert result.flags == expected.flags
+    assert _same_bits(result.components, expected.components)
+    assert all(type(c) is float for c in result.components)
+
+
+@pytest.mark.parametrize("case", list(GCM_ORACLE_CASES))
+def test_gcm_pair_mask_equals_the_list_based_core_bit_for_bit(case):
+    x, y, z = (RankScores.of(v) for v in GCM_ORACLE_CASES[case])
+    results = [(citest._gcm(x, y, None), _gcm_reference(x, y, None))]
+    for moments in MOMENTS.values():
+        results.append((citest._gcm(x, y, z, **moments), _gcm_reference(x, y, z, **moments)))
+    for result, expected in results:
+        _assert_same_result(result, expected)
+    marginal, gcm, _, squares = (result for result, _ in results)
+    if case == "squares_explained":
+        assert gcm.components[0] > 0.0 and gcm.components[1] == 0.0
+    if case == "constant_input":
+        assert all(r.flags == (FLAG_ZERO_VARIANCE,) for r, _ in results)
+    if case in ("squares_explained", "conditioner_equals_input"):
+        assert squares.flags == (FLAG_NUMERICAL_DEGENERACY,)
+    if case == "conditioner_equals_input":
+        assert gcm.flags == (FLAG_NUMERICAL_DEGENERACY,) and marginal.flags == ()
+
+
+def test_gcm_pair_mask_places_the_squares_component_after_a_dropped_linear_pair(monkeypatch):
+    # No input at hand drops the linear pair and keeps the squares pair, so
+    # a residualizer that zeroes the first column stands in for one.
+    residualize = citest._residualize
+
+    def drop_first_column(features, z):
+        residuals = residualize(features, z)
+        residuals[:, 0] = 0.0
+        return residuals
+
+    monkeypatch.setattr(citest, "_residualize", drop_first_column)
+    x, y, z = (RankScores.of(v) for v in GCM_ORACLE_CASES["seeded_pairs"])
+    result = citest._gcm(x, y, z)
+    _assert_same_result(result, _gcm_reference(x, y, z))
+    assert result.components[0] == 0.0 and result.components[1] > 0.0

@@ -469,6 +469,73 @@ def test_benchmark_summary_path_must_differ_from_out(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def _sweep_must_not_run(*args, **kwargs):
+    pytest.fail("the sweep ran")
+
+
+def test_benchmark_out_in_a_missing_directory_exits_two_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    # It used to run every cell, then print a bare "error: [Errno 2] ...".
+    monkeypatch.setattr(cli, "run_benchmark", _sweep_must_not_run)
+    out = tmp_path / "nodir" / "r.csv"
+    assert main(["benchmark", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n",
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_summary_at_a_directory_exits_two_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    # It used to write the results, then exit 2 with a bare "[Errno 21]".
+    monkeypatch.setattr(cli, "run_benchmark", _sweep_must_not_run)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "r.csv"
+    assert main(["benchmark", "--out", str(out), "--summary", str(folder)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot write {folder}: [Errno 21] Is a directory: '{folder}'\n",
+    )
+    assert list(tmp_path.iterdir()) == [folder]
+    assert list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["missing_directory", "directory", "file_as_directory"])
+def test_write_check_raises_the_fault_the_write_meets(tmp_path, kind):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    path = {
+        "missing_directory": tmp_path / "nodir" / "r.csv",
+        "directory": folder,
+        "file_as_directory": plain / "r.csv",
+    }[kind]
+    with pytest.raises(OSError) as checked:
+        cli._check_writable(path)
+    with pytest.raises(OSError) as written:
+        cli._write(path, "text")
+    assert str(checked.value) == str(written.value)
+    assert str(written.value).startswith(f"cannot write {path}: [Errno ")
+
+
+def test_discover_out_in_a_missing_directory_exits_two_naming_it(
+    tmp_path, dgp_config_path, capsys
+):
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)]) == 0
+    out = tmp_path / "nodir" / "decision.json"
+    assert main(["discover", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n",
+    )
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_benchmark_summary_recomputes_from_the_results(tmp_path, jobs):
     config = _write_json(tmp_path / "bench.json", _SMALL_BENCH)
