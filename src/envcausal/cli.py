@@ -18,6 +18,7 @@ no matter how many worker processes ran the cells.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
@@ -240,15 +241,22 @@ def csv_text(rows: Sequence) -> str:
 
 def _load_config(path: str, cls):
     """The config dataclass ``cls`` read from a JSON file."""
-    try:
+    with _file_fault("read", path):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read {path}: {exc}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}: invalid JSON: {exc}")
     return read_object(cls, obj, "config")
+
+
+@contextlib.contextmanager
+def _file_fault(action: str, path):
+    """Reword an OSError met on ``path`` as "cannot <action> <path>: <error>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot {action} {path}: {exc}") from exc
 
 
 def _check_writable(path: Path) -> None:
@@ -260,37 +268,34 @@ def _check_writable(path: Path) -> None:
         code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
     else:
         return
-    raise OSError(f"cannot write {path}: {OSError(code, os.strerror(code), str(path))}")
+    with _file_fault("write", path):
+        raise OSError(code, os.strerror(code), str(path))
 
 
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write(Path(out), text)
+        path = Path(out)
+        with _file_fault("write", path):
+            path.write_text(text)
 
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config, DGPConfig)
     dataset = simulate_dataset(config, args.seed)
     out = Path(args.out)
-    write_dataset_csv(dataset, out)
-    write_truth_json(dataset, out.with_suffix(".truth.json"))
+    with _file_fault("write", out):
+        write_dataset_csv(dataset, out)
+    truth = out.with_suffix(".truth.json")
+    with _file_fault("write", truth):
+        write_truth_json(dataset, truth)
     return EXIT_OK
 
 
 def _cmd_discover(args) -> int:
-    try:
+    with _file_fault("read", args.data):
         samples = read_dataset(args.data)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {args.data}: {exc}")
     decision = discover_structure(samples, args.alpha)
     _emit(json.dumps(asdict(decision), indent=2) + "\n", args.out)
     return EXIT_OK
@@ -311,12 +316,10 @@ def _cmd_benchmark(args) -> int:
     results_text = csv_text(cells)
     summary_text = csv_text(summary)
     if args.out is None:
-        sys.stdout.write(results_text)
-        sys.stdout.write("\n")
-        sys.stdout.write(summary_text)
+        sys.stdout.write(results_text + "\n" + summary_text)
     else:
-        _write(out, results_text)
-        _write(summary_path, summary_text)
+        _emit(results_text, out)
+        _emit(summary_text, summary_path)
     for structure, (acc, count) in per_structure_accuracy(cells).items():
         sys.stdout.write(f"# accuracy[{structure.value}] = {acc:.4f} over {count} cells\n")
     return EXIT_OK
@@ -343,10 +346,8 @@ def _params_header_error(header: list[str]) -> str | None:
 def _read_params_csv(path: str) -> np.ndarray:
     """Parameter table with header env,dim_0,...,dim_{d-1}, one row per
     environment in any order."""
-    try:
+    with _file_fault("read", path):
         index, values, lines = read_csv_table(path, "parameter", _params_header_error, 1)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}")
     env = index[:, 0]
     _, first = np.unique(env, return_index=True)
     repeated = np.setdiff1d(np.arange(env.size), first)
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parse_args keeps
     no state between calls."""
     parser = _Parser(prog="envcausal", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a dataset CSV plus truth sidecar")
     p_sim.add_argument("--config", required=True, help="generator config JSON")
@@ -479,9 +480,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse raises SystemExit both for --help (code 0) and for the
         # remapped usage errors (code 1); pass the code through.
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except DataFormatError as exc:

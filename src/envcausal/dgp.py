@@ -166,10 +166,16 @@ def sample_definetti_params(
     return table
 
 
+def random_baseline(rng: np.random.Generator) -> CausalStructure:
+    """Uniform draw over the three structures: a "random" config's truth,
+    and the chance-level reference of the benchmark."""
+    return tuple(CausalStructure)[int(rng.integers(3))]
+
+
 def _resolve_structure(config: DGPConfig, seed: int) -> CausalStructure:
     if config.structure != "random":
         return config.structure
-    return tuple(CausalStructure)[int(substream(seed, ROLE_STRUCTURE).integers(3))]
+    return random_baseline(substream(seed, ROLE_STRUCTURE))
 
 
 def _param_columns(table: NDArray[np.float64]):
@@ -206,19 +212,25 @@ def simulate_with_params(
     n, b = config.samples_per_env, config.noise_scale
     theta, psi_loc, coef, nonlinear = _param_columns(params)
     cause_varies, mech_varies = _varying_sides(config.regime)
-    s_c = _noise_block(seed, ROLE_CAUSE_NOISE, theta, b, n, config.collapse_noise and not cause_varies)
-    s_e = _noise_block(seed, ROLE_MECH_NOISE, psi_loc, b, n, config.collapse_noise and not mech_varies)
-
-    effect = coef * s_c + s_e
-    effect = np.where(nonlinear, effect + coef * s_c**2, effect)
+    collapse = config.collapse_noise
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        s_c = _noise_block(seed, ROLE_CAUSE_NOISE, theta, b, n, collapse and not cause_varies)
+        s_e = _noise_block(seed, ROLE_MECH_NOISE, psi_loc, b, n, collapse and not mech_varies)
+        effect = coef * s_c + s_e
+        effect = np.where(nonlinear, effect + coef * s_c**2, effect)
     if structure is CausalStructure.X_TO_Y:
         x, y = s_c, effect
     elif structure is CausalStructure.Y_TO_X:
         y, x = s_c, effect
     else:
         x, y = s_c, s_e
+    samples = np.stack([x, y], axis=-1)
+    if not np.isfinite(samples).all():
+        raise InvalidConfig(
+            "samples overflow the float range: lower noise_scale or the coefficient magnitudes"
+        )
     return MultiEnvDataset(
-        samples=np.stack([x, y], axis=-1),
+        samples=samples,
         truth=structure,
         regime=config.regime,
         params=params,
@@ -335,6 +347,18 @@ def _bulk_table(raw: bytes, header_error, n_index):
     return index.T, values.T, numbers[1:]
 
 
+def _records(reader, what: str):
+    """Each record of a csv.reader with the number of its first physical
+    line, read one at a time so that a fault names the first bad line."""
+    start = 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise DataFormatError(f"cannot parse {what} file: {exc}", line=reader.line_num) from None
+
+
 def read_csv_table(
     path: str | Path,
     what: str,
@@ -354,7 +378,9 @@ def read_csv_table(
     well-formed ASCII file without quotes; any other file, and any file
     that pass refuses or might read differently, is walked row by row
     with csv.reader and Python's ``int`` and ``float``, which decide what
-    is accepted and name the first offending line.
+    is accepted and name the first offending line. A line number counts
+    physical lines, those inside a quoted field included, and a record is
+    numbered by its first.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -365,19 +391,16 @@ def read_csv_table(
     if table is not None:
         return table
     # Decoded as open(path, newline="") would decode it, errors included.
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
-    try:
-        records = list(reader)
-    except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise DataFormatError(f"cannot parse {what} file: {exc}", line=reader.line_num) from None
-    if not records:
+    records = _records(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")), what)
+    _, header = next(records, (1, None))
+    if header is None:
         raise DataFormatError(f"empty {what} file", line=1)
-    message = header_error([h.strip() for h in records[0]])
+    message = header_error([h.strip() for h in header])
     if message is not None:
         raise DataFormatError(message, line=1)
-    width = len(records[0])
+    width = len(header)
     lines, index, values = [], [], []
-    for line, row in enumerate(records[1:], start=2):
+    for line, row in records:
         if not row:
             continue
         if len(row) != width:

@@ -50,7 +50,7 @@ from .citest import (
     conditional_independence_test,
     marginal_independence_test,
 )
-from .dgp import CausalStructure
+from .dgp import CausalStructure, random_baseline  # noqa: F401  (re-exported)
 
 # Significance level of the marginal test's linear component above
 # which the conditional tests keep the linear moment pair alone. It is
@@ -145,8 +145,3 @@ def discover_structure(samples: NDArray[np.float64], alpha: float = 0.05) -> Dis
         alpha=alpha,
         flags=flags,
     )
-
-
-def random_baseline(rng: np.random.Generator) -> CausalStructure:
-    """Uniform draw over the three structures; the chance-level reference."""
-    return tuple(CausalStructure)[int(rng.integers(3))]

@@ -129,30 +129,30 @@ class MixingSpec:
     def matrix(self) -> NDArray[np.float64]:
         """Unit-lower-triangular affine part; invertible by construction."""
         m = np.eye(self.d)
-        if self.kind is MixingKind.TRIANGULAR_AFFINE_TANH and self.d > 1:
+        if self.kind is MixingKind.TRIANGULAR_AFFINE_TANH:
             rng = substream(self.seed, ROLE_MIXING)
-            for i in range(1, self.d):
-                m[i, :i] = rng.uniform(-1.0, 1.0, size=i)
+            draws = rng.uniform(-1.0, 1.0, size=self.d * (self.d - 1) // 2)
+            m[np.tri(self.d, k=-1, dtype=bool)] = draws  # the strict lower triangle, row by row
         return m
 
+    def _table(self, values, name: str) -> NDArray[np.float64]:
+        table = np.asarray(values, dtype=np.float64)
+        if table.ndim != 2 or table.shape[1] != self.d:
+            raise DimensionMismatch(f"{name} must have shape (n, {self.d})")
+        return table
+
     def apply(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != self.d:
-            raise DimensionMismatch(f"samples must have shape (n, {self.d})")
+        s = self._table(s, "samples")
         if self.kind is MixingKind.IDENTITY:
             return s.copy()
         v = s @ self.matrix().T
         return v + np.tanh(v)
 
     def invert(self, o: NDArray[np.float64]) -> NDArray[np.float64]:
-        o = np.asarray(o, dtype=np.float64)
-        if o.ndim != 2 or o.shape[1] != self.d:
-            raise DimensionMismatch(f"observations must have shape (n, {self.d})")
-        if self.kind is MixingKind.IDENTITY:
+        o = self._table(o, "observations")
+        if self.kind is MixingKind.IDENTITY or o.shape[0] == 0:
             return o.copy()
         v = _invert_id_plus_tanh(o)
-        if o.shape[0] == 0:
-            return o.copy()
         return solve_triangular(self.matrix(), v.T, lower=True, unit_diagonal=True).T
 
 
@@ -241,8 +241,7 @@ def _ks_statistic(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
     run_end = np.append(values[1:] != values[:-1], True)
     from_a = np.cumsum(order < n)[run_end]
     cdiff = from_a / n - (np.flatnonzero(run_end) + 1 - from_a) / m
-    high, low = cdiff.max(), np.clip(-cdiff.min(), 0, 1)
-    return float(low if low > high else high)
+    return float(np.abs(cdiff).max())
 
 
 def two_sample_test(

@@ -141,14 +141,8 @@ def check_sufficient_variability(matrix, tolerance: float = 1e-10) -> Variabilit
     d_cols = entries.shape[1]
     singular = np.linalg.svd(entries, compute_uv=False)
     s_max = float(singular[0]) if singular.size else 0.0
-    if s_max == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(singular > tolerance * s_max))
-    if rank == 0:
-        condition = math.inf
-    else:
-        condition = s_max / float(singular[rank - 1])
+    rank = int(np.sum(singular > tolerance * s_max))
+    condition = s_max / float(singular[rank - 1]) if rank else math.inf
     flags: tuple[str, ...] = ()
     if entries.shape[0] < d_cols:
         flags = (FLAG_TOO_FEW_ENVIRONMENTS,)

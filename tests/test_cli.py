@@ -211,6 +211,72 @@ def test_discover_fuzzed_inputs_exit_with_a_status_code(tmp_path, data):
     assert main(args + ["--out", str(tmp_path / "decision.json")]) in (0, 1, 2)
 
 
+_OVERFLOW = {
+    "n_environments": 30,
+    "regime": "full_exchangeable",
+    "structure": "x_to_y",
+    "noise_scale": 1e300,
+}
+
+
+def test_simulate_refuses_samples_past_the_float_range(tmp_path, capsys):
+    # It used to warn, exit 0 and write 28 rows of inf or nan that discover refused.
+    config = _write_json(tmp_path / "over.json", _OVERFLOW)
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", config, "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: samples overflow the float range: lower noise_scale or the coefficient magnitudes\n",
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "over.json"]
+
+
+@pytest.mark.parametrize("kind", ["missing_directory", "directory"])
+def test_simulate_out_it_cannot_write_exits_two_naming_it(tmp_path, dgp_config_path, capsys, kind):
+    # It used to print a bare "error: [Errno 2|21] ...".
+    if kind == "missing_directory":
+        out, fault = tmp_path / "nodir" / "d.csv", "[Errno 2] No such file or directory"
+    else:
+        out, fault = tmp_path / "d.csv", "[Errno 21] Is a directory"
+        out.mkdir()
+    assert main(["simulate", "--config", dgp_config_path, "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {fault}: '{out}'\n")
+
+
+# A record is numbered by its first physical line; lines inside a quoted
+# field count, and a bad row is named before a later over-long field.
+_PROBES = {
+    "quoted-crlf-break": (
+        "discover",
+        'env,sample,x,y\r\n0,0,"1.5\r\n",2\r\n0,1,bad,3\r\n',
+        "unparseable row ['0', '1', 'bad', '3'] (line 4)",
+    ),
+    "quoted-params-break": (
+        "variability",
+        'env,dim_0\n0,"1.0\n"\n1,2.0\n1,3.0\n',
+        "duplicate environment index 1 (line 5)",
+    ),
+    "bad-row-before-long-field": (
+        "discover",
+        "env,sample,x,y\n0,0,1,2\n0,1,bad,3\n0,2," + "1" * 200_000 + ",4\n",
+        "unparseable row ['0', '1', 'bad', '3'] (line 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, text, message", _PROBES.values(), ids=_PROBES.keys())
+def test_row_walk_names_the_physical_line_of_the_first_bad_record(
+    tmp_path, capsys, command, text, message
+):
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode())
+    flag = "--data" if command == "discover" else "--params"
+    assert main([command, flag, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # Usage errors.
 
@@ -518,7 +584,7 @@ def test_write_check_raises_the_fault_the_write_meets(tmp_path, kind):
     with pytest.raises(OSError) as checked:
         cli._check_writable(path)
     with pytest.raises(OSError) as written:
-        cli._write(path, "text")
+        cli._emit("text", path)
     assert str(checked.value) == str(written.value)
     assert str(written.value).startswith(f"cannot write {path}: [Errno ")
 

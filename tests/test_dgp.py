@@ -426,31 +426,38 @@ def test_reader_places_rows_by_their_indices(tmp_path):
 
 def _oracle_csv_table(path):
     """The dataset reader as it was before its bulk pass: csv.reader, then
-    Python's int and float per field, the first bad row named. A csv.Error
-    (a field over the size limit) becomes a DataFormatError on its line."""
+    Python's int and float per field, the first bad record named by the
+    number of its first physical line. Records are checked as they are read,
+    so a csv.Error (a field over the size limit) becomes a DataFormatError
+    on the line where it stopped only when no earlier record is bad."""
+    header, lines, index, values = None, [], [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
+        last = 0  # the last physical line of the previous record
         try:
-            records = list(reader)
+            for row in reader:
+                line, last = last + 1, reader.line_num
+                if header is None:
+                    header = row
+                    if [h.strip() for h in header] != ["env", "sample", "x", "y"]:
+                        raise DataFormatError("expected header env,sample,x,y", line=1)
+                    continue
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise DataFormatError(f"expected 4 columns, got {len(row)}", line=line)
+                try:
+                    index.append([int(v) for v in row[:2]])
+                    values.append([float(v) for v in row[2:]])
+                except ValueError:
+                    raise DataFormatError(f"unparseable row {row!r}", line=line)
+                if not all(0 <= i < 2**63 for i in index[-1]) or not all(map(math.isfinite, values[-1])):
+                    raise DataFormatError(f"invalid values in row {row!r}", line=line)
+                lines.append(line)
         except csv.Error as exc:
             raise DataFormatError(f"cannot parse dataset file: {exc}", line=reader.line_num)
-    if not records:
+    if header is None:
         raise DataFormatError("empty dataset file", line=1)
-    if [h.strip() for h in records[0]] != ["env", "sample", "x", "y"]:
-        raise DataFormatError("expected header env,sample,x,y", line=1)
-    lines = [i for i, row in enumerate(records[1:], start=2) if row]
-    index, values = [], []
-    for line in lines:
-        row = records[line - 1]
-        if len(row) != 4:
-            raise DataFormatError(f"expected 4 columns, got {len(row)}", line=line)
-        try:
-            index.append([int(v) for v in row[:2]])
-            values.append([float(v) for v in row[2:]])
-        except ValueError:
-            raise DataFormatError(f"unparseable row {row!r}", line=line)
-        if not all(0 <= i < 2**63 for i in index[-1]) or not all(map(math.isfinite, values[-1])):
-            raise DataFormatError(f"invalid values in row {row!r}", line=line)
     shape = (len(lines), 2)
     lines = np.array(lines, dtype=np.int64)
     return np.array(index, dtype=np.int64).reshape(shape), np.array(values).reshape(shape), lines
@@ -556,6 +563,8 @@ _EDGE_FILES = {
     "quoted": 'env,sample,x,y\n"0","0","1.5","2"\n',
     "quoted-line-break": 'env,sample,x,y\n0,0,"1\n",2\n0,1,3,4\n',
     "quoted-header-break": '"env\n",sample,x,y\n0,0,1,2\n',
+    "quoted-crlf-break": 'env,sample,x,y\r\n0,0,"1.5\r\n",2\r\n0,1,bad,3\r\n',
+    "bad-row-before-long-field": "env,sample,x,y\n0,0,1,2\n0,1,bad,3\n0,2," + "1" * 200_000 + ",4\n",
     "blank-lines": "env,sample,x,y\r\n\r\n0,0,1,2\r\n\r\n\r\n0,1,3,4\r\n\r\n",
     "whitespace-line": "env,sample,x,y\n0,0,1,2\n \n",
     "cr-only": "env,sample,x,y\r0,0,1,2\r\r0,1,3,4\r",
@@ -669,3 +678,21 @@ def test_simulate_with_params_requires_an_environment_by_four_table(params):
         simulate_with_params(
             _config(IID, CausalStructure.X_TO_Y, e=2), CausalStructure.X_TO_Y, params, seed=0
         )
+
+
+_OVERFLOWS = {
+    "square": (_config(FULL, CausalStructure.X_TO_Y, e=30, noise_scale=1e300), None),
+    "noise": (_config(IID, CausalStructure.INDEPENDENT, e=30, noise_scale=1.7e308), None),
+    "coefficient": (_config(FULL, CausalStructure.Y_TO_X, e=2), [[0.0, 0.0, 1e308, 0.0]] * 2),
+    "location": (_config(FULL, CausalStructure.X_TO_Y, e=2), [[1.7e308, 0.0, 1.0, 1.0]] * 2),
+}
+
+
+@pytest.mark.parametrize("config, params", _OVERFLOWS.values(), ids=_OVERFLOWS.keys())
+def test_samples_past_the_float_range_are_refused_without_a_warning(config, params):
+    # Overflow used to warn and hand back samples holding inf or nan.
+    with pytest.raises(InvalidConfig, match="^samples overflow the float range"):
+        if params is None:
+            simulate_dataset(config, 1)
+        else:
+            simulate_with_params(config, config.structure, params, seed=1)

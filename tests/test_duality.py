@@ -25,7 +25,7 @@ from envcausal.duality import (
     verify_duality,
 )
 from envcausal.variability import DensityFamily
-from envcausal._streams import ROLE_PERMUTATION, open_uniform, substream
+from envcausal._streams import ROLE_MIXING, ROLE_PERMUTATION, open_uniform, substream
 
 G = DensityFamily.GAUSSIAN
 L = DensityFamily.LAPLACE
@@ -119,6 +119,17 @@ def test_mixing_matrix_is_unit_lower_triangular_and_seed_stable():
     assert not np.array_equal(m, MixingSpec(TRI, 4, seed=10).matrix())
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_mixing_matrix_equals_row_by_row_draws(d):
+    # The strict lower triangle, drawn row by row from the mixing stream.
+    for seed in range(20):
+        reference = np.eye(d)
+        rng = substream(seed, ROLE_MIXING)
+        for i in range(1, d):
+            reference[i, :i] = rng.uniform(-1.0, 1.0, size=i)
+        assert MixingSpec(TRI, d, seed=seed).matrix().tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_mixing_apply_then_invert_round_trips(d):
     spec = MixingSpec(TRI, d, seed=2)
@@ -138,9 +149,9 @@ def test_identity_mixing_is_a_copy():
 
 def test_mixing_shape_checks():
     spec = MixingSpec(TRI, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^samples must have shape \(n, 2\)$"):
         spec.apply(np.zeros((4, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^observations must have shape \(n, 2\)$"):
         spec.invert(np.zeros(4))
     with pytest.raises(DimensionMismatch):
         MixingSpec(TRI, 0)

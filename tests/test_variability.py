@@ -109,6 +109,14 @@ def test_identical_environments_give_rank_zero():
     assert set(report.singular_values) == {0.0}
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 0)], ids=["all-zero", "no-columns"])
+def test_a_matrix_without_a_nonzero_singular_value_has_rank_zero(shape):
+    report = check_sufficient_variability(np.zeros(shape))
+    assert report.rank == 0
+    assert report.condition_number == np.inf
+    assert report.full_column_rank == (shape[1] == 0)
+
+
 def test_identity_differences_are_perfectly_conditioned():
     report = check_sufficient_variability(
         build_modulation_matrix([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
