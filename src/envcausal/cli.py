@@ -283,11 +283,13 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config, DGPConfig)
-    dataset = simulate_dataset(config, args.seed)
     out = Path(args.out)
+    truth = out.with_suffix(".truth.json")
+    _check_writable(out)
+    _check_writable(truth)
+    dataset = simulate_dataset(config, args.seed)
     with _file_fault("write", out):
         write_dataset_csv(dataset, out)
-    truth = out.with_suffix(".truth.json")
     with _file_fault("write", truth):
         write_truth_json(dataset, truth)
     return EXIT_OK

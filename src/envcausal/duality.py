@@ -13,6 +13,7 @@ source space as well.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -41,6 +42,10 @@ _ENERGY_MAX_POOLED = 4096
 _ENERGY_PERMUTATIONS = 200
 
 _KS_MIN_SAMPLES = 50
+
+# Mixing matrices kept, keyed by (kind, d, seed), d * d floats each:
+# verify_duality applies its mixing twice and inverts it twice per target.
+_MIXING_CACHE_SIZE = 8
 
 
 class MixingKind(str, Enum):
@@ -127,13 +132,9 @@ class MixingSpec:
             raise DimensionMismatch("mixing dimension must be at least 1")
 
     def matrix(self) -> NDArray[np.float64]:
-        """Unit-lower-triangular affine part; invertible by construction."""
-        m = np.eye(self.d)
-        if self.kind is MixingKind.TRIANGULAR_AFFINE_TANH:
-            rng = substream(self.seed, ROLE_MIXING)
-            draws = rng.uniform(-1.0, 1.0, size=self.d * (self.d - 1) // 2)
-            m[np.tri(self.d, k=-1, dtype=bool)] = draws  # the strict lower triangle, row by row
-        return m
+        """Unit-lower-triangular affine part; invertible by construction.
+        Cached per (kind, d, seed) and returned read-only."""
+        return _mixing_matrix(self.kind, self.d, self.seed)
 
     def _table(self, values, name: str) -> NDArray[np.float64]:
         table = np.asarray(values, dtype=np.float64)
@@ -154,6 +155,17 @@ class MixingSpec:
             return o.copy()
         v = _invert_id_plus_tanh(o)
         return solve_triangular(self.matrix(), v.T, lower=True, unit_diagonal=True).T
+
+
+@functools.lru_cache(maxsize=_MIXING_CACHE_SIZE)
+def _mixing_matrix(kind: MixingKind, d: int, seed: int) -> NDArray[np.float64]:
+    m = np.eye(d)
+    if kind is MixingKind.TRIANGULAR_AFFINE_TANH:
+        rng = substream(seed, ROLE_MIXING)
+        draws = rng.uniform(-1.0, 1.0, size=d * (d - 1) // 2)
+        m[np.tri(d, k=-1, dtype=bool)] = draws  # the strict lower triangle, row by row
+    m.flags.writeable = False
+    return m
 
 
 def _invert_id_plus_tanh(target: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -4,11 +4,14 @@ import copy
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -102,15 +105,6 @@ def test_discover_decides_from_the_csv_alone(tmp_path, dgp_config_path, capsys, 
     capsys.readouterr()
     assert main(["discover", "--data", str(data)] + truth_args(tmp_path)) == 0
     assert capsys.readouterr() == (expected, "")
-
-
-def test_discover_writes_to_stdout_without_out(tmp_path, dgp_config_path, capsys):
-    data = tmp_path / "data.csv"
-    main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)])
-    code = main(["discover", "--data", str(data)])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "structure" in payload
 
 
 def test_malformed_csv_names_the_line(tmp_path, dgp_config_path, capsys):
@@ -233,16 +227,21 @@ def test_simulate_refuses_samples_past_the_float_range(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [tmp_path / "over.json"]
 
 
-@pytest.mark.parametrize("kind", ["missing_directory", "directory"])
+@pytest.mark.parametrize("kind", ["missing_directory", "directory", "sidecar_directory"])
 def test_simulate_out_it_cannot_write_exits_two_naming_it(tmp_path, dgp_config_path, capsys, kind):
-    # It used to print a bare "error: [Errno 2|21] ...".
+    # It used to print a bare "error: [Errno 2|21] ...", and to write the
+    # CSV before it met an unwritable sidecar.
+    out = tmp_path / "d.csv"
     if kind == "missing_directory":
-        out, fault = tmp_path / "nodir" / "d.csv", "[Errno 2] No such file or directory"
+        out = bad = tmp_path / "nodir" / "d.csv"
+        fault = "[Errno 2] No such file or directory"
     else:
-        out, fault = tmp_path / "d.csv", "[Errno 21] Is a directory"
-        out.mkdir()
+        bad = out if kind == "directory" else tmp_path / "d.truth.json"
+        fault = "[Errno 21] Is a directory"
+        bad.mkdir()
     assert main(["simulate", "--config", dgp_config_path, "--seed", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: cannot write {out}: {fault}: '{out}'\n")
+    assert capsys.readouterr() == ("", f"error: cannot write {bad}: {fault}: '{bad}'\n")
+    assert not out.is_file()
 
 
 # A record is numbered by its first physical line; lines inside a quoted
@@ -287,12 +286,6 @@ def test_missing_required_flag_is_a_usage_error(tmp_path):
 
 def test_unknown_subcommand_is_a_usage_error():
     assert main(["frobnicate"]) == 1
-
-
-def test_bare_command_prints_the_usage_and_is_a_usage_error(capsys):
-    assert main([]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("usage: envcausal")
 
 
 # Each subcommand's input-file option, the path to follow it.
@@ -352,24 +345,12 @@ def test_removed_discover_options_are_usage_errors(tmp_path, dgp_config_path, ex
     assert main(args + extra) == 1
 
 
-def test_module_entry_runs_without_a_warning():
-    # The package imports cli, so running cli itself as a module would
-    # warn that it is already in sys.modules; the package's __main__ does not.
+def _child_env(**extra) -> dict[str, str]:
+    """This process's environment with the imported package's directory
+    first on PYTHONPATH, so a child process imports the same copy."""
     src = str(Path(envcausal.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-W", "error", "-m", "envcausal", "discrepancy",
-            "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
-            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
-        ],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout)["holds_ae"] is True
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_import_and_discover_leave_scipy_stats_unimported(tmp_path, dgp_config_path):
@@ -384,17 +365,161 @@ def test_import_and_discover_leave_scipy_stats_unimported(tmp_path, dgp_config_p
         f"assert envcausal.main(['discover', '--data', {data!r}]) == 0",
         "print('scipy.stats' in sys.modules)",
     ])
-    src = str(Path(envcausal.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# ---------------------------------------------------------------------------
+# The command line as a process: one table of cases, each run in its own
+# directory through `python -m envcausal` and, when the running Python has
+# an `envcausal` script installed beside it, through that script too.
+
+
+class Case(NamedTuple):
+    argv: list[str]
+    files: dict[str, str]  # input name -> text, written before the run
+    code: int
+    # "stderr" -> its prefix; "stdout" -> a predicate on its JSON; an
+    # output name -> its first line, a predicate on its JSON, or None when
+    # the run must not write it.
+    expect: dict[str, object]
+
+
+_DGP_JSON = '{"n_environments": 40, "regime": "full_exchangeable", "structure": "random"}'
+_BENCH_JSON = '{"env_grid": [20], "n_seeds": 1, "regimes": ["iid"]}'
+# Forty environments of two samples; discover needs at least 20.
+_DATASET_CSV = "env,sample,x,y\n" + "".join(
+    f"{i // 2},{i % 2},{x!r},{y!r}\n"
+    for i, (x, y) in enumerate(np.random.default_rng(1).standard_normal((80, 2)).tolist())
+)
+
+CASES = {
+    "simulate": Case(
+        ["simulate", "--config", "dgp.json", "--seed", "1", "--out", "data.csv"],
+        {"dgp.json": _DGP_JSON},
+        0,
+        {"data.csv": "env,sample,x,y"},
+    ),
+    "simulate-missing-directory": Case(
+        ["simulate", "--config", "dgp.json", "--seed", "1", "--out", "missing/d.csv"],
+        {"dgp.json": _DGP_JSON},
+        2,
+        {"stderr": "error: cannot write missing/d.csv: [Errno 2] No such file or directory"},
+    ),
+    "simulate-overflow": Case(
+        ["simulate", "--config", "overflow.json", "--seed", "1", "--out", "overflow.csv"],
+        {
+            "overflow.json": '{"n_environments": 30, "regime": "full_exchangeable",'
+            ' "structure": "x_to_y", "noise_scale": 1e300}'
+        },
+        2,
+        {"overflow.csv": None},
+    ),
+    "bare": Case([], {}, 1, {"stderr": "usage: envcausal"}),
+    "discover": Case(
+        ["discover", "--data", "data.csv"],
+        {"data.csv": _DATASET_CSV},
+        0,
+        {"stdout": lambda r: r["structure"] in ("x_to_y", "y_to_x", "independent")},
+    ),
+    "discover-missing-file": Case(
+        ["discover", "--data", "missing.csv"],
+        {},
+        2,
+        {"stderr": "error: cannot read missing.csv: [Errno 2] No such file or directory"},
+    ),
+    "benchmark": Case(
+        ["benchmark", "--config", "bench.json", "--out", "results.csv"],
+        {"bench.json": _BENCH_JSON},
+        0,
+        {
+            "results.csv": "regime,truth,n_envs,seed,decision,p_x_to_y,p_y_to_x,p_independent,"
+            "correct,baseline_decision,baseline_correct",
+            "results.summary.csv": "regime,n_envs,accuracy_mean,accuracy_std,baseline_accuracy,n_cells",
+        },
+    ),
+    "benchmark-missing-directory": Case(
+        ["benchmark", "--config", "bench.json", "--out", "missing/results.csv"],
+        {"bench.json": _BENCH_JSON},
+        2,
+        {"stderr": "error: cannot write missing/results.csv: [Errno 2] No such file or directory"},
+    ),
+    "variability": Case(
+        ["variability", "--params", "params.csv", "--out", "variability.json"],
+        {"params.csv": "env,dim_0,dim_1\n0,0.0,0.0\n1,1.0,0.5\n2,0.25,2.0\n"},
+        0,
+        {"variability.json": lambda r: r["rank"] == 2},
+    ),
+    "duality": Case(
+        ["duality", "--config", "dual.json", "--out", "duality.json"],
+        {
+            "dual.json": '{"f": {"kind": "triangular-affine-tanh", "d": 2}, "base": {"family":'
+            ' "gaussian", "location": [0.0, 0.0], "scale": [1.0, 1.0]}, "per_u": [{"family":'
+            ' "gaussian", "location": [0.0, 0.0], "scale": [2.0, 2.0]}], "n_samples": 200, "seed": 0}'
+        },
+        0,
+        {"duality.json": lambda r: isinstance(r["overall_pass"], bool)},
+    ),
+    "energy-level-below-floor": Case(
+        ["duality", "--config", "energy.json", "--level", "0.001"],
+        {
+            "energy.json": '{"f": {"kind": "identity", "d": 1}, "base": {"family": "gaussian",'
+            ' "location": [0.0], "scale": [1.0]}, "per_u": [{"family": "gaussian", "location":'
+            ' [0.0], "scale": [2.0]}], "n_samples": 100, "seed": 0, "test": "energy-permutation"}'
+        },
+        2,
+        {"stderr": "error: level 0.001 is below the energy test's p-value floor 1/201\n"},
+    ),
+    # The package imports cli, so running cli itself as a module would
+    # warn that it is already in sys.modules; the package's __main__ does not.
+    "discrepancy": Case(
+        [
+            "discrepancy", "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
+        ],
+        {},
+        0,
+        {"stdout": lambda r: r["holds_ae"] is True},
+    ),
+}
+
+PREFIXES = {"module": [sys.executable, "-m", "envcausal"]}
+_SCRIPT = shutil.which("envcausal", path=sysconfig.get_path("scripts"))
+if _SCRIPT:
+    PREFIXES["script"] = [_SCRIPT]
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+@pytest.mark.parametrize("prefix", PREFIXES.values(), ids=PREFIXES.keys())
+def test_command_line_case(tmp_path, prefix, case):
+    for name, text in case.files.items():
+        (tmp_path / name).write_text(text)
+    proc = subprocess.run(
+        prefix + case.argv,
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(PYTHONWARNINGS="error"),
+        timeout=120,
+    )
+    assert proc.returncode == case.code, proc.stderr
+    # A run that succeeds writes nothing to stderr, not even a warning;
+    # one that fails writes nothing to stdout.
+    assert (proc.stderr if case.code == 0 else proc.stdout) == "", proc
+    for name, want in case.expect.items():
+        if name == "stderr":
+            assert proc.stderr.startswith(want), proc.stderr
+        elif name == "stdout":
+            assert want(json.loads(proc.stdout)), proc.stdout
+        elif want is None:
+            assert not (tmp_path / name).exists()
+        elif isinstance(want, str):
+            assert (tmp_path / name).read_text().splitlines()[0] == want
+        else:
+            assert want(json.loads((tmp_path / name).read_text())), name
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,40 @@ def test_label_symmetry_holds_on_the_linear_gcm_path():
     assert mirrored.p_independent == original.p_independent
 
 
+_MONOTONE = {
+    "cubic": lambda v: v**3 + v,
+    "exp": lambda v: np.exp(v / 4),
+    "affine": lambda v: 3 * v - 2,
+}
+
+
+@pytest.fixture(scope="module")
+def monotone_datasets():
+    datasets = [
+        _dataset(regime, "random", e=e, seed=seed)
+        for regime in VariabilityRegime
+        for e in (100, 300)
+        for seed in range(10)
+    ]
+    # The golden cause_linear dataset, whose conditional tests take the linear pair alone.
+    cause_linear = _dataset(CAUSE, CausalStructure.X_TO_Y, e=300, seed=4)
+    assert _gcm_p_values(cause_linear, linear_only=True)[0]
+    return [d.samples for d in datasets + [cause_linear]]
+
+
+@pytest.mark.parametrize("column", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("transform", _MONOTONE.values(), ids=_MONOTONE.keys())
+def test_decision_ignores_a_monotone_reparameterization(monotone_datasets, transform, column):
+    # The gated decision sees each variable through its ranks alone.
+    for samples in monotone_datasets:
+        warped = samples.copy()
+        warped[..., column] = transform(samples[..., column])
+        before, after = samples[..., column].ravel(), warped[..., column].ravel()
+        assert np.array_equal(np.argsort(before, kind="stable"), np.argsort(after, kind="stable"))
+        assert np.unique(before).size == np.unique(after).size
+        assert discover_structure(warped) == discover_structure(samples)
+
+
 def test_environment_order_does_not_matter():
     dataset = _dataset(FULL, CausalStructure.Y_TO_X, e=80, seed=8)
     order = np.random.default_rng(0).permutation(80)

@@ -130,6 +130,16 @@ def test_mixing_matrix_equals_row_by_row_draws(d):
         assert MixingSpec(TRI, d, seed=seed).matrix().tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("kind", [TRI, MixingKind.IDENTITY])
+def test_mixing_matrix_is_shared_and_read_only(kind):
+    # Every spec of one (kind, d, seed) shares the drawn matrix, so no
+    # caller may write into it.
+    m = MixingSpec(kind, 3, seed=4).matrix()
+    assert MixingSpec(kind, 3, seed=4).matrix() is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[1, 0] = 0.5
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_mixing_apply_then_invert_round_trips(d):
     spec = MixingSpec(TRI, d, seed=2)
