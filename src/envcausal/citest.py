@@ -24,6 +24,10 @@ Inputs may be ``(n, r)`` arrays: n independent units observed r times
 each. The r products of a unit are summed before the variance is taken,
 so the r observations of a unit may be dependent.
 
+Both tests are exactly symmetric in x and y, rounding included, by
+construction: swapping them swaps feature columns, and every step works
+column by column or is symmetric in the pair.
+
 Each input may also be given as its ``RankScores``, so a caller that
 tests one variable several times, as a discovery decision does, ranks it
 once. The spline's orthonormal factor is taken once per sorted score
@@ -91,23 +95,12 @@ class CITestResult:
 def _scored(**inputs) -> list[RankScores]:
     """The inputs as RankScores, arrays checked and scored under their names."""
     scores = [v if isinstance(v, RankScores) else RankScores.of(v, k) for k, v in inputs.items()]
-    shape = scores[0].values.shape
-    if any(s.values.shape != shape for s in scores):
+    shape = scores[0].normal.shape
+    if any(s.normal.shape != shape for s in scores):
         raise ValueError("all inputs must have equal length")
     if shape[0] < MIN_UNITS:
         raise InsufficientSamples(f"need at least {MIN_UNITS} samples for this test, got {shape[0]}")
     return scores
-
-
-def _canonical_sides(a: RankScores, b: RankScores) -> tuple[RankScores, RankScores]:
-    """Order the pair so both argument orders run the identical computation.
-
-    Picking the order by byte comparison of the values makes the test
-    exactly symmetric in its arguments, floating-point rounding included.
-    """
-    if a.values.tobytes() <= b.values.tobytes():
-        return a, b
-    return b, a
 
 
 def _mid_ranks(v: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
@@ -131,7 +124,7 @@ def _mid_ranks(v: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.
 
 @dataclass(frozen=True)
 class RankScores:
-    """One variable's entries and their scores from a single rank pass:
+    """One variable's scores from a single rank pass over its entries:
     ``normal`` holds the standard normal quantiles of the mid-ranks over
     every entry, ``uniform`` the centred mid-ranks scaled to unit
     variance, ``sorted_normal`` the raveled normal scores in ascending
@@ -139,7 +132,6 @@ class RankScores:
     ``sorted_normal[position]`` equals ``normal``.
     """
 
-    values: NDArray[np.float64]
     normal: NDArray[np.float64]
     uniform: NDArray[np.float64]
     sorted_normal: NDArray[np.float64]
@@ -161,7 +153,7 @@ class RankScores:
         uniform = math.sqrt(12.0) * (levels - 0.5)
         position = np.empty(v.shape, dtype=np.intp)
         position.reshape(-1)[order] = np.arange(v.size)  # writes through the view
-        return cls(v, normal.reshape(v.shape), uniform.reshape(v.shape), normal[order], position)
+        return cls(normal.reshape(v.shape), uniform.reshape(v.shape), normal[order], position)
 
     @property
     def constant(self) -> bool:
@@ -171,8 +163,8 @@ class RankScores:
     def reversed(self) -> RankScores:
         """The columns of each row in reverse order; ranks are exact, so these
         are the very scores of the reversed array."""
-        v, normal, uniform = self.values[..., ::-1], self.normal[..., ::-1], self.uniform[..., ::-1]
-        return RankScores(v, normal, uniform, self.sorted_normal, self.position[..., ::-1])
+        normal, uniform = self.normal[..., ::-1], self.uniform[..., ::-1]
+        return RankScores(normal, uniform, self.sorted_normal, self.position[..., ::-1])
 
 
 def _spline_basis(s: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -217,10 +209,9 @@ def _gcm(
     linear_only: bool = False,
     squares_only: bool = False,
 ) -> CITestResult:
-    units = a.values.shape[0]
+    units = a.normal.shape[0]
     if a.constant or b.constant or (z is not None and z.constant):
         return CITestResult(0.0, 1.0, units, (FLAG_ZERO_VARIANCE,))
-    a, b = _canonical_sides(a, b)
     if linear_only:
         features = np.stack([a.uniform.ravel(), b.uniform.ravel()], axis=1)
     else:

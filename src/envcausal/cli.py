@@ -45,7 +45,7 @@ from .dgp import (
     write_dataset_csv,
     write_truth_json,
 )
-from .discovery import discover_structure, random_baseline
+from .discovery import MIN_UNITS, discover_structure, random_baseline
 from .duality import DualityConfig, verify_duality
 from .variability import (
     DensityFamily,
@@ -93,8 +93,8 @@ class BenchConfig:
 
     def __post_init__(self):
         convert_fields(self)
-        if not self.env_grid or any(e <= 0 for e in self.env_grid):
-            raise InvalidConfig("env_grid must be a non-empty sequence of positive integers")
+        if not self.env_grid or any(e < MIN_UNITS for e in self.env_grid):
+            raise InvalidConfig(f"env_grid must be a non-empty sequence of integers >= {MIN_UNITS}")
         if any(b <= a for a, b in zip(self.env_grid, self.env_grid[1:])):
             raise InvalidConfig("env_grid must be strictly increasing")
         if self.n_seeds < 1:

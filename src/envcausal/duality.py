@@ -365,8 +365,11 @@ def verify_duality(
         mech_config = replace(config, per_u=(config.base,) * len(config.per_u))
     results = []
     for u in range(len(config.per_u)):
-        a = generate_cause_variability_samples(config, u)
-        b = generate_mechanism_variability_samples(mech_config, u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = generate_cause_variability_samples(config, u)
+            b = generate_mechanism_variability_samples(mech_config, u)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError(f"u={u}: samples overflow the float range")
         stat, p_obs = two_sample_test(a, b, config.test, seed=mix64(config.seed, u, 0))
         # Rounding can leave every sample of a coordinate on one float, which
         # both tests would pass; the source tables are functions of these.

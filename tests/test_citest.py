@@ -413,7 +413,7 @@ def test_rank_scores_of_a_reversed_view_equal_those_of_the_reversed_array(shape,
     scores = RankScores.of(values)
     assert _same_bits(scores.sorted_normal, np.sort(scores.normal.ravel()))
     view, direct = scores.reversed(), RankScores.of(values[..., ::-1])
-    for field in ("values", "normal", "uniform", "sorted_normal"):
+    for field in ("normal", "uniform", "sorted_normal"):
         assert _same_bits(getattr(view, field), getattr(direct, field)), field
     # Tied entries may take each other's places, so position is checked
     # through the scores it gathers.
@@ -599,10 +599,9 @@ def test_factor_cache_keeps_its_size_after_more_sizes_than_it_holds():
 def _gcm_reference(a, b, z, linear_only=False, squares_only=False):
     """The gcm core as it was when it kept its moment pairs in a list of
     column pairs, one np.stack per pair side and a dict of components."""
-    units = a.values.shape[0]
+    units = a.normal.shape[0]
     if a.constant or b.constant or (z is not None and z.constant):
         return CITestResult(0.0, 1.0, units, (FLAG_ZERO_VARIANCE,))
-    a, b = citest._canonical_sides(a, b)
     if linear_only:
         features = np.stack([a.uniform.ravel(), b.uniform.ravel()], axis=1)
     else:
@@ -720,3 +719,51 @@ def test_gcm_pair_mask_places_the_squares_component_after_a_dropped_linear_pair(
     result = citest._gcm(x, y, z)
     _assert_same_result(result, _gcm_reference(x, y, z))
     assert result.components[0] == 0.0 and result.components[1] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Exact symmetry in x and y: swapping them only swaps feature columns, so
+# every call must give the same bits both ways round, whatever the thread
+# count of the matrix products.
+
+def _constant_column(v):
+    """v with its first replicate column, or all of it when unreplicated, set to 1.5."""
+    held = v.copy()
+    held[..., 0] = 1.5
+    return held if v.ndim == 2 else np.full_like(v, 1.5)
+
+
+# How each input is altered after drawing: kept, rounded to one decimal,
+# rounded to an integer (a few tied values), or held constant in part.
+_ALTERATIONS = {
+    "kept": lambda v: v,
+    "rounded": lambda v: np.round(v, 1),
+    "tied": np.round,
+    "constant": _constant_column,
+}
+
+
+@given(
+    st.integers(MIN_UNITS, 2000),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.4, -1.0]),
+    st.tuples(*[st.sampled_from(list(_ALTERATIONS))] * 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_swapping_x_and_y_gives_the_same_bits(units, replicates, coupling, alterations, seed):
+    # A coupling of -1 draws its sign per unit: the dependence then sits
+    # in the squares pair alone.
+    rng = np.random.default_rng(seed)
+    shape = (units,) if replicates == 1 else (units, replicates)
+    z, e, f = rng.standard_normal((3, *shape))
+    sign = rng.choice([-1.0, 1.0], size=(units,) + (1,) * (len(shape) - 1))
+    x = z + e
+    y = (sign if coupling < 0 else coupling) * x + 0.5 * z + f
+    x, y, z = (_ALTERATIONS[kind](v) for kind, v in zip(alterations, (x, y, z)))
+    _assert_same_result(marginal_independence_test(x, y), marginal_independence_test(y, x))
+    for moments in MOMENTS.values():
+        _assert_same_result(
+            conditional_independence_test(x, y, z, **moments),
+            conditional_independence_test(y, x, z, **moments),
+        )

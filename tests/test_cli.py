@@ -382,9 +382,9 @@ class Case(NamedTuple):
     argv: list[str]
     files: dict[str, str]  # input name -> text, written before the run
     code: int
-    # "stderr" -> its prefix; "stdout" -> a predicate on its JSON; an
-    # output name -> its first line, a predicate on its JSON, or None when
-    # the run must not write it.
+    # "stderr" -> its prefix, or all of it when that ends a line; "stdout"
+    # -> a predicate on its JSON; an output name -> its first line, a
+    # predicate on its JSON, or None when the run must not write it.
     expect: dict[str, object]
 
 
@@ -463,6 +463,19 @@ CASES = {
         0,
         {"duality.json": lambda r: isinstance(r["overall_pass"], bool)},
     ),
+    # Under PYTHONWARNINGS=error this used to end in a RuntimeWarning
+    # traceback from the mixing's matmul and exit 1.
+    "duality-overflow": Case(
+        ["duality", "--config", "overflow.json", "--out", "duality.json"],
+        {
+            "overflow.json": '{"f": {"kind": "triangular-affine-tanh", "d": 2, "seed": 0}, "base":'
+            ' {"family": "gaussian", "location": [0.0, 0.0], "scale": [1.0, 1.0]}, "per_u":'
+            ' [{"family": "gaussian", "location": [1e308, 1e308], "scale": [0.5, 2.0]}],'
+            ' "n_samples": 200, "seed": 0}'
+        },
+        2,
+        {"stderr": "error: u=0: samples overflow the float range\n", "duality.json": None},
+    ),
     "energy-level-below-floor": Case(
         ["duality", "--config", "energy.json", "--level", "0.001"],
         {
@@ -511,7 +524,7 @@ def test_command_line_case(tmp_path, prefix, case):
     assert (proc.stderr if case.code == 0 else proc.stdout) == "", proc
     for name, want in case.expect.items():
         if name == "stderr":
-            assert proc.stderr.startswith(want), proc.stderr
+            assert proc.stderr == want if want.endswith("\n") else proc.stderr.startswith(want), proc.stderr
         elif name == "stdout":
             assert want(json.loads(proc.stdout)), proc.stdout
         elif want is None:
@@ -533,10 +546,21 @@ _SMALL_BENCH = {
 }
 
 
-def test_benchmark_rows_and_summary_shape(tmp_path):
+def _accuracy_lines(results):
+    """The comment lines benchmark prints: each truth's share of correct rows in the results CSV."""
+    hits = {truth.value: [] for truth in CausalStructure}
+    for row in csv.DictReader(results.read_text().splitlines()):
+        hits[row["truth"]].append(row["correct"] == "true")
+    return "".join(
+        f"# accuracy[{truth}] = {np.mean(h):.4f} over {len(h)} cells\n" for truth, h in hits.items() if h
+    )
+
+
+def test_benchmark_rows_and_summary_shape(tmp_path, capsys):
     config = _write_json(tmp_path / "bench.json", _SMALL_BENCH)
     out = tmp_path / "results.csv"
     assert main(["benchmark", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (_accuracy_lines(out), "")
     rows = out.read_text().splitlines()
     assert rows[0] == (
         "regime,truth,n_envs,seed,decision,p_x_to_y,p_y_to_x,p_independent,"
@@ -549,12 +573,14 @@ def test_benchmark_rows_and_summary_shape(tmp_path):
     assert all(row.split(",")[5] == "3" for row in summary[1:])
 
 
-def test_benchmark_parallel_output_is_byte_identical(tmp_path):
+def test_benchmark_parallel_output_is_byte_identical(tmp_path, capsys):
     config = _write_json(tmp_path / "bench.json", _SMALL_BENCH)
     serial_out = tmp_path / "serial.csv"
     parallel_out = tmp_path / "parallel.csv"
     assert main(["benchmark", "--config", config, "--out", str(serial_out), "--jobs", "1"]) == 0
+    serial_printed = capsys.readouterr()
     assert main(["benchmark", "--config", config, "--out", str(parallel_out), "--jobs", "2"]) == 0
+    assert capsys.readouterr() == serial_printed == (_accuracy_lines(serial_out), "")
     assert serial_out.read_bytes() == parallel_out.read_bytes()
     assert (
         tmp_path / "serial.summary.csv"
@@ -591,13 +617,14 @@ def test_benchmark_workers_are_bounded_by_cells_and_cores(monkeypatch, n_seeds, 
     assert cli.csv_text(cells) == cli.csv_text(cli.run_benchmark(config)[0])
 
 
-def test_single_cell_benchmark_has_zero_std(tmp_path):
+def test_single_cell_benchmark_has_zero_std(tmp_path, capsys):
     config = _write_json(
         tmp_path / "bench.json",
         {"env_grid": [100], "n_seeds": 1, "regimes": ["full_exchangeable"]},
     )
     out = tmp_path / "one.csv"
     assert main(["benchmark", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (_accuracy_lines(out), "")
     assert len(out.read_text().splitlines()) == 2
     summary_row = (tmp_path / "one.summary.csv").read_text().splitlines()[1].split(",")
     assert summary_row[3] == "0"  # lone cell leaves no spread to estimate
@@ -728,10 +755,11 @@ def test_discover_out_in_a_missing_directory_exits_two_naming_it(
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_benchmark_summary_recomputes_from_the_results(tmp_path, jobs):
+def test_benchmark_summary_recomputes_from_the_results(tmp_path, jobs, capsys):
     config = _write_json(tmp_path / "bench.json", _SMALL_BENCH)
     out = tmp_path / "results.csv"
     assert main(["benchmark", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+    assert capsys.readouterr() == (_accuracy_lines(out), "")
     rows = list(csv.DictReader(out.read_text().splitlines()))
     cells, _ = cli.run_benchmark(BenchConfig(**_SMALL_BENCH))
     assert len(rows) == len(cells)
@@ -989,6 +1017,12 @@ def _run_config(tmp_path, command, payload):
             dict(_BENCH, test_method="residual-perm"),
             "config.test_method: unknown key",
         ),
+        (
+            # It used to fail inside the first cell, after pooled cells had run.
+            "benchmark",
+            {"env_grid": [10, 2000], "n_seeds": 300},
+            "env_grid must be a non-empty sequence of integers >= 20",
+        ),
     ],
 )
 def test_config_faults_name_their_json_path(tmp_path, capsys, command, payload, message):
@@ -1029,8 +1063,8 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys, command, payload, 
 
 @pytest.mark.parametrize("test", ["ks-per-coordinate", "energy-permutation"])
 def test_duality_names_a_sample_table_that_overflows(tmp_path, capsys, test):
-    # The mixing's 0.81 * 1e308 + 1e308 overflows; the error used to come
-    # from solve_triangular ("array must not contain infs or NaNs").
+    # The mixing's 0.81 * 1e308 + 1e308 overflows; it used to warn of an
+    # overflow in matmul and then name table "a" of the two-sample test.
     target = dict(_DUAL["per_u"][0], location=[1e308, 1e308], scale=[0.5, 2.0])
     payload = dict(
         _DUAL,
@@ -1039,9 +1073,8 @@ def test_duality_names_a_sample_table_that_overflows(tmp_path, capsys, test):
         per_u=[target],
         test=test,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert _run_config(tmp_path, "duality", payload) == 2
-    assert capsys.readouterr().err == "error: a contains non-finite values\n"
+    assert _run_config(tmp_path, "duality", payload) == 2
+    assert capsys.readouterr() == ("", "error: u=0: samples overflow the float range\n")
     assert not (tmp_path / "out").exists()
 
 
