@@ -43,10 +43,6 @@ _ENERGY_PERMUTATIONS = 200
 
 _KS_MIN_SAMPLES = 50
 
-# Mixing matrices kept, keyed by (kind, d, seed), d * d floats each:
-# verify_duality applies its mixing twice and inverts it twice per target.
-_MIXING_CACHE_SIZE = 8
-
 
 class MixingKind(str, Enum):
     IDENTITY = "identity"
@@ -133,8 +129,18 @@ class MixingSpec:
 
     def matrix(self) -> NDArray[np.float64]:
         """Unit-lower-triangular affine part; invertible by construction.
-        Cached per (kind, d, seed) and returned read-only."""
-        return _mixing_matrix(self.kind, self.d, self.seed)
+        Drawn on first use, kept by this spec and returned read-only."""
+        return self._matrix
+
+    @functools.cached_property
+    def _matrix(self) -> NDArray[np.float64]:
+        m = np.eye(self.d)
+        if self.kind is MixingKind.TRIANGULAR_AFFINE_TANH:
+            rng = substream(self.seed, ROLE_MIXING)
+            draws = rng.uniform(-1.0, 1.0, size=self.d * (self.d - 1) // 2)
+            m[np.tri(self.d, k=-1, dtype=bool)] = draws  # the strict lower triangle, row by row
+        m.flags.writeable = False
+        return m
 
     def _table(self, values, name: str) -> NDArray[np.float64]:
         table = np.asarray(values, dtype=np.float64)
@@ -155,17 +161,6 @@ class MixingSpec:
             return o.copy()
         v = _invert_id_plus_tanh(o)
         return solve_triangular(self.matrix(), v.T, lower=True, unit_diagonal=True).T
-
-
-@functools.lru_cache(maxsize=_MIXING_CACHE_SIZE)
-def _mixing_matrix(kind: MixingKind, d: int, seed: int) -> NDArray[np.float64]:
-    m = np.eye(d)
-    if kind is MixingKind.TRIANGULAR_AFFINE_TANH:
-        rng = substream(seed, ROLE_MIXING)
-        draws = rng.uniform(-1.0, 1.0, size=d * (d - 1) // 2)
-        m[np.tri(d, k=-1, dtype=bool)] = draws  # the strict lower triangle, row by row
-    m.flags.writeable = False
-    return m
 
 
 def _invert_id_plus_tanh(target: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -272,8 +267,8 @@ def two_sample_test(
     without its per-call overhead. The energy alternative permutes pooled
     labels 200 times, so its p-value is at least 1/201, and materializes
     the pooled distance matrix, summed coordinate by coordinate; it is
-    meant for moderate sample counts.
-    Both need finite tables with at least one column.
+    meant for moderate sample counts, and refuses tables whose pairwise
+    distances overflow. Both need finite tables with at least one column.
     """
     method = TwoSampleMethod(method)
     ta = _as_sample_table("a", a)
@@ -299,15 +294,19 @@ def two_sample_test(
     pooled = np.vstack([ta, tb])
     # Column by column; a sum over the coordinate axis has the same bits for d <= 7.
     squared = np.zeros((n + m, n + m))
-    for column in pooled.T:
-        step = column[:, None] - column
-        squared += step * step
+    with np.errstate(over="ignore"):
+        for column in pooled.T:
+            step = column[:, None] - column
+            squared += step * step
     dist = np.sqrt(squared)
+    # Finite distances stay below 1.4e154, so their sum is finite exactly when each is.
+    total = dist.sum()
+    if not np.isfinite(total):
+        raise ValueError("pairwise distances overflow the float range")
     # Means of contiguous copies: a mean over a strided view adds in another order.
     blocks = (dist[:n, :n], dist[n:, n:], dist[:n, n:])
     within_a, within_b, cross = (block.copy().mean() for block in blocks)
     observed = float(2.0 * cross - within_a - within_b)
-    total = dist.sum()
     rng = substream(seed, ROLE_PERMUTATION)
     perms = np.stack([rng.permutation(n + m) for _ in range(_ENERGY_PERMUTATIONS)])
     # Row p marks the pooled rows that permutation p sends to table a.

@@ -193,16 +193,27 @@ def _dataset_csv(draw):
 
 @given(st.data())
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_discover_fuzzed_inputs_exit_with_a_status_code(tmp_path, data):
-    # Whatever the bytes of the dataset, discover ends with 0, 1 or 2,
-    # never with an uncaught exception.
+def test_discover_fuzzed_inputs_exit_with_a_status_code(tmp_path, capsys, data):
+    # Whatever the bytes of the dataset, discover ends with 0 or with 2 and
+    # one error, never with an uncaught exception.
     if data.draw(st.integers(0, 3)):
         csv_bytes = data.draw(_dataset_csv())
     else:
         csv_bytes = data.draw(st.binary(max_size=200))
     (tmp_path / "data.csv").write_bytes(csv_bytes)
     args = ["discover", "--data", str(tmp_path / "data.csv")]
-    assert main(args + ["--out", str(tmp_path / "decision.json")]) in (0, 1, 2)
+    code = main(args + ["--out", str(tmp_path / "decision.json")])
+    _assert_status_and_stderr(code, capsys.readouterr())
+
+
+def _assert_status_and_stderr(code, captured):
+    """A run that writes its output to a file prints nothing on success and
+    one error on a data error."""
+    assert captured.out == ""
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert code == 2 and captured.err.startswith("error: ") and captured.err.endswith("\n"), captured
 
 
 _OVERFLOW = {
@@ -280,12 +291,16 @@ def test_row_walk_names_the_physical_line_of_the_first_bad_record(
 # Usage errors.
 
 
-def test_missing_required_flag_is_a_usage_error(tmp_path):
+def test_missing_required_flag_is_a_usage_error(tmp_path, capsys):
     assert main(["simulate", "--seed", "0", "--out", str(tmp_path / "x.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: envcausal simulate ")
 
 
-def test_unknown_subcommand_is_a_usage_error():
+def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: envcausal ")
 
 
 # Each subcommand's input-file option, the path to follow it.
@@ -337,12 +352,15 @@ def test_help_exits_cleanly(capsys):
         ["--test", "fisher-z"],
     ],
 )
-def test_removed_discover_options_are_usage_errors(tmp_path, dgp_config_path, extra):
+def test_removed_discover_options_are_usage_errors(tmp_path, dgp_config_path, capsys, extra):
     data = tmp_path / "data.csv"
     assert main(["simulate", "--config", dgp_config_path, "--seed", "5", "--out", str(data)]) == 0
     args = ["discover", "--data", str(data)]
     assert main(args + ["--out", str(tmp_path / "decision.json")]) == 0
+    assert capsys.readouterr() == ("", "")
     assert main(args + extra) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: envcausal ")
 
 
 def _child_env(**extra) -> dict[str, str]:
@@ -486,6 +504,18 @@ CASES = {
         2,
         {"stderr": "error: level 0.001 is below the energy test's p-value floor 1/201\n"},
     ),
+    # Distances of samples at scale 1e200 overflow; this used to print a
+    # NaN statistic (not JSON) and fail two identical laws with exit 0.
+    "duality-energy-overflow": Case(
+        ["duality", "--config", "energy.json", "--out", "duality.json"],
+        {
+            "energy.json": '{"f": {"kind": "identity", "d": 1}, "base": {"family": "gaussian",'
+            ' "location": [0.0], "scale": [1e200]}, "per_u": [{"family": "gaussian", "location":'
+            ' [0.0], "scale": [1e200]}], "n_samples": 100, "seed": 0, "test": "energy-permutation"}'
+        },
+        2,
+        {"stderr": "error: pairwise distances overflow the float range\n", "duality.json": None},
+    ),
     # The package imports cli, so running cli itself as a module would
     # warn that it is already in sys.modules; the package's __main__ does not.
     "discrepancy": Case(
@@ -533,6 +563,18 @@ def test_command_line_case(tmp_path, prefix, case):
             assert (tmp_path / name).read_text().splitlines()[0] == want
         else:
             assert want(json.loads((tmp_path / name).read_text())), name
+
+
+@pytest.mark.parametrize("sample", [2, 0], ids=["gap", "duplicate"])
+def test_discover_refuses_sample_indices_that_are_not_contiguous(tmp_path, capsys, sample):
+    lines = _DATASET_CSV.splitlines(keepends=True)
+    lines[4] = f"1,{sample}," + lines[4].split(",", 2)[2]  # environment 1's second row
+    data = _write_text(tmp_path / "data.csv", "".join(lines))
+    assert main(["discover", "--data", data]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: sample indices in environment 1 must be 0-based and contiguous\n",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,27 +681,6 @@ def test_benchmark_stdout_mode_prints_tables_and_comments(tmp_path, capsys):
     assert "regime,truth,n_envs" in out
     assert "accuracy_mean" in out
     assert "# accuracy[" in out
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"bogus": 1},
-        {"regimes": ["nope"]},
-        {"env_grid": [100, 100]},
-        {"env_grid": []},
-        {"alpha": 1.5},
-        {"n_seeds": 0},
-        {"include_random_baseline": False},  # the baseline is always written
-        {"regimes": []},
-        {"regimes": ["iid", "iid"]},
-        {"samples_per_env": 1},
-    ],
-)
-def test_bad_benchmark_configs_exit_two(tmp_path, payload, capsys):
-    config = _write_json(tmp_path / "bench.json", payload)
-    assert main(["benchmark", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_benchmark_needs_at_least_one_job(tmp_path, capsys):
@@ -905,12 +926,6 @@ def test_duality_verification_via_config_file(tmp_path):
         assert row["passed"] is True
 
 
-def test_duality_config_key_errors_exit_two(tmp_path, capsys):
-    config = _write_json(tmp_path / "dual.json", {"f": {"kind": "identity", "d": 1}})
-    assert main(["duality", "--config", config]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # Config error messages: one fault per config, the exact stderr line.
 
@@ -1023,6 +1038,25 @@ def _run_config(tmp_path, command, payload):
             {"env_grid": [10, 2000], "n_seeds": 300},
             "env_grid must be a non-empty sequence of integers >= 20",
         ),
+        ("benchmark", {"bogus": 1}, "config.bogus: unknown key"),
+        (
+            "benchmark",
+            dict(_BENCH, regimes=["nope"]),
+            f"config.regimes[0]: expected one of {_REGIME_CHOICES}, got 'nope'",
+        ),
+        ("benchmark", dict(_BENCH, env_grid=[]), "env_grid must be a non-empty sequence of integers >= 20"),
+        ("benchmark", dict(_BENCH, alpha=1.5), "alpha must lie strictly between 0 and 1"),
+        ("benchmark", dict(_BENCH, n_seeds=0), "n_seeds must be at least 1"),
+        (
+            # The baseline is always written.
+            "benchmark",
+            dict(_BENCH, include_random_baseline=False),
+            "config.include_random_baseline: unknown key",
+        ),
+        ("benchmark", dict(_BENCH, regimes=[]), "regimes must be non-empty"),
+        ("benchmark", dict(_BENCH, regimes=["iid", "iid"]), "regimes must not repeat"),
+        ("benchmark", dict(_BENCH, samples_per_env=1), "samples_per_env must be at least 2"),
+        ("duality", {"f": {"kind": "identity", "d": 1}}, "config.base: missing required key"),
     ],
 )
 def test_config_faults_name_their_json_path(tmp_path, capsys, command, payload, message):
@@ -1094,23 +1128,37 @@ def test_duality_rejects_observations_rounded_to_one_value(tmp_path, capsys, loc
 _HUGE = 10**13  # elements; numpy refuses the allocation at once
 
 
+_CANNOT_ALLOCATE = "error: Unable to allocate "
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, prefix",
     [
-        [
-            "discrepancy", "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
-            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
-            "--grid-points", str(_HUGE),
-        ],
-        ["duality", "--config", dict(_DUAL, n_samples=_HUGE)],
+        (
+            [
+                "discrepancy", "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+                "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
+                "--grid-points", str(_HUGE),
+            ],
+            _CANNOT_ALLOCATE,
+        ),
+        (["duality", "--config", dict(_DUAL, n_samples=_HUGE)], _CANNOT_ALLOCATE),
+        (
+            ["benchmark", "--config", dict(_BENCH, env_grid=[_HUGE]), "--out", "r.csv"],
+            f"error: benchmark cell (regime=iid, n_envs={_HUGE}, seed=0) failed: Unable to allocate ",
+        ),
     ],
-    ids=["discrepancy-grid", "duality-samples"],
+    ids=["discrepancy-grid", "duality-samples", "benchmark-cell"],
 )
-def test_sizes_numpy_cannot_allocate_exit_two(tmp_path, capsys, args):
-    # These used to end in a raw numpy._core._exceptions._ArrayMemoryError traceback.
+def test_sizes_numpy_cannot_allocate_exit_two(tmp_path, monkeypatch, capsys, args, prefix):
+    # The first two used to end in a raw numpy._core._exceptions._ArrayMemoryError
+    # traceback; a failing benchmark cell is named before numpy's message.
+    monkeypatch.chdir(tmp_path)
     args = [_write_json(tmp_path / "c.json", a) if isinstance(a, dict) else a for a in args]
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix), err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -1297,12 +1345,13 @@ def _params_csv(draw):
 
 @given(st.data())
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_variability_fuzzed_params_exit_with_a_status_code(tmp_path, data):
-    # Whatever the bytes of the table, variability ends with 0, 1 or 2.
+def test_variability_fuzzed_params_exit_with_a_status_code(tmp_path, capsys, data):
+    # Whatever the bytes of the table, variability ends with 0 or with 2
+    # and one error.
     params = data.draw(_params_csv() if data.draw(st.integers(0, 3)) else st.binary(max_size=200))
     (tmp_path / "params.csv").write_bytes(params)
     args = ["variability", "--params", str(tmp_path / "params.csv"), "--out", str(tmp_path / "r.json")]
-    assert main(args) in (0, 1, 2)
+    _assert_status_and_stderr(main(args), capsys.readouterr())
 
 
 def test_variability_rejects_differences_past_the_float_range(tmp_path, capsys):

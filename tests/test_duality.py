@@ -132,12 +132,24 @@ def test_mixing_matrix_equals_row_by_row_draws(d):
 
 @pytest.mark.parametrize("kind", [TRI, MixingKind.IDENTITY])
 def test_mixing_matrix_is_shared_and_read_only(kind):
-    # Every spec of one (kind, d, seed) shares the drawn matrix, so no
-    # caller may write into it.
-    m = MixingSpec(kind, 3, seed=4).matrix()
-    assert MixingSpec(kind, 3, seed=4).matrix() is m
+    # A spec draws its matrix once and shares that array with every call,
+    # so no caller may write into it; equal specs draw equal bytes.
+    spec = MixingSpec(kind, 3, seed=4)
+    m = spec.matrix()
+    assert spec.matrix() is m
+    assert MixingSpec(kind, 3, seed=4).matrix().tobytes() == m.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         m[1, 0] = 0.5
+
+
+def test_mixing_spec_draws_its_matrix_on_first_use():
+    # A d x d matrix of this size cannot be allocated; building the spec
+    # must not try, and neither may comparing or hashing it.
+    huge = MixingSpec(TRI, 10**7, seed=1)
+    assert huge == MixingSpec(TRI, 10**7, seed=1)
+    assert hash(huge) == hash(MixingSpec(TRI, 10**7, seed=1))
+    with pytest.raises(MemoryError):
+        huge.matrix()
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -268,6 +280,18 @@ def test_energy_rejects_non_finite_and_columnless_tables():
         two_sample_test(a, b, energy)
     with pytest.raises(DimensionMismatch, match="^a has no columns$"):
         two_sample_test(np.zeros((60, 0)), np.zeros((60, 0)), energy)
+
+
+def test_energy_refuses_tables_whose_distances_overflow():
+    # Distances past ~1.3e154 used to overflow into a nan statistic with
+    # p = 1/201, failing two identical laws.
+    energy = TwoSampleMethod.ENERGY_PERMUTATION
+    a = substream(33).normal(size=(100, 1)) * 1e200
+    big = np.array([[-1e308], [1e308]])  # even the difference overflows
+    for table in (a, big):
+        with pytest.raises(ValueError, match="^pairwise distances overflow the float range$"):
+            two_sample_test(table, table.copy(), energy)
+    assert two_sample_test(a * 1e-47, a * 1e-47, energy) == (0.0, 1.0)
 
 
 def _ks_loop_reference(a, b):

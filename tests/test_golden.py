@@ -12,7 +12,9 @@ unchanged; a change that alters an output on purpose must say so and
 update the digest.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -107,7 +109,10 @@ def outputs(tmp_path_factory):
     (root / "benchmark").mkdir()
     bench_config = root / "bench.json"
     bench_config.write_text(json.dumps({"env_grid": [20, 40], "n_seeds": 3, "regimes": _REGIMES}))
-    _run("benchmark", "--config", str(bench_config), "--out", str(root / "benchmark" / "results.csv"))
+    # The fixture outlives capsys, so the accuracy comments are captured here.
+    with contextlib.redirect_stdout(io.StringIO()) as comments:
+        _run("benchmark", "--config", str(bench_config), "--out", str(root / "benchmark" / "results.csv"))
+    assert [line[:11] for line in comments.getvalue().splitlines()] == ["# accuracy["] * 3
 
     (root / "duality").mkdir()
     for name, test in (("energy", "energy-permutation"), ("ks", "ks-per-coordinate")):
