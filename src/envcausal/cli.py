@@ -383,7 +383,6 @@ def _cmd_discrepancy(args) -> int:
         density_p_tilde=pt,
         interval=interval,
         grid_points=args.grid_points,
-        derivative_step=args.step,
         zero_tolerance=args.zero_tol,
     )
     fraction_zero, holds_ae = interventional_discrepancy_fraction(query)
@@ -460,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("--lo", type=float, default=None)
     p_dis.add_argument("--hi", type=float, default=None)
     p_dis.add_argument("--grid-points", type=int, default=10001)
-    p_dis.add_argument("--step", type=float, default=1e-4)
     p_dis.add_argument("--zero-tol", type=float, default=1e-6)
     p_dis.add_argument("--out", default=None)
     p_dis.set_defaults(func=_cmd_discrepancy)

@@ -527,6 +527,36 @@ CASES = {
         0,
         {"stdout": lambda r: r["holds_ae"] is True},
     ),
+    # np.linspace used to warn of an overflow here, a traceback and exit 1
+    # under PYTHONWARNINGS=error.
+    "discrepancy-interval-too-wide": Case(
+        [
+            "discrepancy", "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1", "--lo=-1e308", "--hi=1e308",
+        ],
+        {},
+        2,
+        {"stderr": "error: interval width hi - lo overflows the float range\n"},
+    ),
+    "discrepancy-subnormal-scale": Case(
+        [
+            "discrepancy", "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1e-310",
+            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1",
+        ],
+        {},
+        2,
+        {"stderr": "error: log-ratio derivative overflows the float range on the grid\n"},
+    ),
+    # The derivative is exact, so the finite-difference step is gone.
+    "discrepancy-step-removed": Case(
+        [
+            "discrepancy", "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
+            "--pt-family", "gaussian", "--pt-loc", "1", "--pt-scale", "1", "--step", "1e-4",
+        ],
+        {},
+        1,
+        {"stderr": "usage: envcausal"},
+    ),
 }
 
 PREFIXES = {"module": [sys.executable, "-m", "envcausal"]}
@@ -1162,11 +1192,9 @@ def test_sizes_numpy_cannot_allocate_exit_two(tmp_path, monkeypatch, capsys, arg
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize(
-    "flag", ["--step", "--zero-tol", "--p-scale", "--pt-scale", "--p-loc", "--lo 0 --hi"]
-)
+@pytest.mark.parametrize("flag", ["--zero-tol", "--p-scale", "--pt-scale", "--p-loc", "--lo 0 --hi"])
 def test_discrepancy_rejects_non_finite_settings(capsys, flag, value):
-    # On two identical densities a NaN step or tolerance used to report
+    # On two identical densities a NaN tolerance used to report
     # fraction_zero 0.0 and holds_ae true with exit 0.
     args = [
         "discrepancy",
@@ -1178,10 +1206,26 @@ def test_discrepancy_rejects_non_finite_settings(capsys, flag, value):
     assert captured.out == "" and "finite" in captured.err
 
 
-@pytest.mark.parametrize("setting", ["--step 1e308", "--p-loc 1e308", "--p-scale 1e300"])
+def _holds_everywhere(lo, hi):
+    """The report of a pair whose log-ratio derivative vanishes nowhere on the grid."""
+    report = {"fraction_zero": 0.0, "holds_ae": True, "interval": [lo, hi], "grid_points": 10001}
+    return json.dumps(report, indent=2) + "\n"
+
+
+# Setting -> (exit code, stdout, stderr).
+_NEAR_THE_FLOAT_LIMITS = {
+    # Both used to be refused because a log-density overflows; the
+    # log-ratio derivative stays finite on the whole grid.
+    "--p-loc 1e308": (0, _holds_everywhere(-4.0, 1e308), ""),
+    "--p-scale 1e300": (0, _holds_everywhere(-5e300, 5e300), ""),
+    # (x - loc) / 1e-310 / 1e-310 overflows away from loc.
+    "--p-scale 1e-310": (2, "", "error: log-ratio derivative overflows the float range on the grid\n"),
+}
+
+
+@pytest.mark.parametrize("setting", _NEAR_THE_FLOAT_LIMITS)
 def test_discrepancy_names_a_log_density_overflow(capsys, setting):
-    # These used to warn of an overflow in DensitySpec.log_pdf and then
-    # report that the density underflows to zero.
+    code, out, err = _NEAR_THE_FLOAT_LIMITS[setting]
     args = [
         "discrepancy",
         "--p-family", "gaussian", "--p-loc", "0", "--p-scale", "1",
@@ -1189,10 +1233,8 @@ def test_discrepancy_names_a_log_density_overflow(capsys, setting):
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(args + setting.split()) == 2
-    assert capsys.readouterr() == (
-        "", "error: log-density overflows the float range on the evaluation grid\n"
-    )
+        assert main(args + setting.split()) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # Every key of each config is present, so each one can be garbled.
@@ -1273,7 +1315,6 @@ _CONSTRUCTORS = [
             density_p_tilde=_GAUSSIAN,
             interval=(-1.0, 1.0),
             grid_points=101,
-            derivative_step=1e-4,
             zero_tolerance=1e-6,
         ),
     ),

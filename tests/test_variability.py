@@ -1,5 +1,6 @@
 """Rank diagnostics for environment differences and density discrepancy."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,15 @@ def test_delta_detection_tolerance_widens_the_match():
         detect_delta_prior(table, tolerance=-1e-3)
 
 
+def test_delta_detection_does_not_pin_a_spread_that_overflows():
+    # 1e308 - (-1e308) used to warn of an overflow in subtract, an
+    # exception under -W error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flags = detect_delta_prior([[1e308, 0.0], [-1e308, 0.0]])
+    np.testing.assert_array_equal(flags, [False, True])
+
+
 @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
 def test_delta_detection_rejects_a_non_finite_tolerance(tolerance):
     # A NaN tolerance used to pin no dimension and an infinite one every
@@ -337,8 +347,8 @@ def test_query_validation():
         DiscrepancyQuery(p, p, interval=(1.0, 1.0))
     with pytest.raises(ValueError, match="grid_points"):
         DiscrepancyQuery(p, p, interval=(0.0, 1.0), grid_points=100)
-    with pytest.raises(ValueError):
-        DiscrepancyQuery(p, p, interval=(0.0, 1.0), derivative_step=0.0)
+    with pytest.raises(ValueError, match="^interval width hi - lo overflows the float range$"):
+        DiscrepancyQuery(p, p, interval=(-1e308, 1e308))
     with pytest.raises(ValueError):
         DiscrepancyQuery(p, p, interval=(0.0, 1.0), zero_tolerance=-1e-9)
 
@@ -381,8 +391,45 @@ def test_discrepancy_is_symmetric_in_the_two_densities():
 
 
 def test_underflowing_tail_raises_instead_of_lying():
+    # Both densities underflow to zero past x = 38.6, which used to be
+    # refused; the exact derivative of the log ratio is 0.1 everywhere.
     p = DensitySpec(G, 0.0, 1.0)
-    with pytest.raises(NonPositiveDensity):
-        interventional_discrepancy_fraction(
-            DiscrepancyQuery(p, DensitySpec(G, 0.1, 1.0), (30.0, 40.0))
-        )
+    assert interventional_discrepancy_fraction(
+        DiscrepancyQuery(p, DensitySpec(G, 0.1, 1.0), (30.0, 40.0))
+    ) == (0.0, True)
+
+
+def test_gaussian_and_laplace_with_an_underflowing_tail_are_answered():
+    # The Gaussian's density underflows at the ends of the default
+    # interval (-24, 24); this pair used to exit 2 from the command line.
+    p, pt = DensitySpec(G, 0.0, 0.3), DensitySpec(L, 0.0, 3.0)
+    interval = default_discrepancy_interval(p, pt)
+    assert np.any(np.exp(p.log_pdf(np.array(interval))) == 0.0)
+    # The derivative x / 0.09 - sign(x) / 3 vanishes only at x = 0 and
+    # x = +-0.03, and the grid misses all three by more than the tolerance.
+    assert interventional_discrepancy_fraction(DiscrepancyQuery(p, pt, interval)) == (0.0, True)
+
+
+@pytest.mark.parametrize(
+    "spec", [DensitySpec(G, 0.5, 1.7), DensitySpec(L, -0.25, 2.0)], ids=["gaussian", "laplace"]
+)
+def test_log_pdf_derivative_matches_central_differences_of_scipy(spec):
+    reference = {G: scipy.stats.norm, L: scipy.stats.laplace}[spec.family](spec.loc, spec.scale)
+    x = np.linspace(-6.0, 6.0, 101)
+    x = x[np.abs(x - spec.loc) > 1e-3]  # away from the Laplace kink
+    h = 1e-6
+    central = (reference.logpdf(x + h) - reference.logpdf(x - h)) / (2.0 * h)
+    np.testing.assert_allclose(spec.log_pdf_derivative(x), central, rtol=1e-6, atol=1e-8)
+
+
+def test_log_pdf_derivative_is_zero_at_the_laplace_kink():
+    spec = DensitySpec(L, -0.25, 2.0)
+    assert spec.log_pdf_derivative(np.array([-0.25])).tolist() == [0.0]
+    assert spec.log_pdf_derivative(np.array([-0.5, 0.0])).tolist() == [0.5, -0.5]
+
+
+def test_subnormal_scale_overflows_the_derivative():
+    p = DensitySpec(G, 0.0, 1e-310)
+    query = DiscrepancyQuery(p, DensitySpec(G, 1.0, 1.0), (-5.0, 6.0))
+    with pytest.raises(NonPositiveDensity, match="^log-ratio derivative overflows the float range"):
+        interventional_discrepancy_fraction(query)
